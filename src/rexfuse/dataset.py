@@ -128,24 +128,21 @@ class ItemTextCorpus:
         return self.texts.get(item_index, "")
 
 
-def _parse_rating(raw: str, path, lineno: int) -> float:
+def _interaction(path, lineno, user, item, rating, ts) -> Interaction:
+    """One parsed input row; a blank timestamp reads as None."""
+    if not user or not item:
+        raise ValueError(f"{path}:{lineno}: empty user or item id")
     try:
-        rating = float(raw)
+        value = float(rating)
     except ValueError:
-        raise ValueError(f"{path}:{lineno}: non-numeric rating {raw!r}") from None
-    if not math.isfinite(rating):
-        raise ValueError(f"{path}:{lineno}: non-finite rating {raw!r}")
-    return rating
-
-
-def _parse_timestamp(raw: str, path, lineno: int) -> Optional[int]:
-    raw = raw.strip()
-    if not raw:
-        return None
+        raise ValueError(f"{path}:{lineno}: non-numeric rating {rating!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{path}:{lineno}: non-finite rating {rating!r}")
+    ts = ts.strip()
     try:
-        return int(raw)
+        return Interaction(user, item, value, int(ts) if ts else None)
     except ValueError:
-        raise ValueError(f"{path}:{lineno}: non-integer timestamp {raw!r}") from None
+        raise ValueError(f"{path}:{lineno}: non-integer timestamp {ts!r}") from None
 
 
 def _load_movielens100k(path) -> list:
@@ -160,17 +157,7 @@ def _load_movielens100k(path) -> list:
                 raise ValueError(
                     f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}"
                 )
-            user, item, rating_raw, ts_raw = fields
-            if not user or not item:
-                raise ValueError(f"{path}:{lineno}: empty user or item id")
-            interactions.append(
-                Interaction(
-                    user=user,
-                    item=item,
-                    rating=_parse_rating(rating_raw, path, lineno),
-                    timestamp=_parse_timestamp(ts_raw, path, lineno),
-                )
-            )
+            interactions.append(_interaction(path, lineno, *fields))
     return interactions
 
 
@@ -198,18 +185,8 @@ def _load_csv(path) -> list:
                 raise ValueError(
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
                 )
-            user, item = row[0], row[1]
-            if not user or not item:
-                raise ValueError(f"{path}:{lineno}: empty user or item id")
-            ts = _parse_timestamp(row[3], path, lineno) if has_timestamp else None
-            interactions.append(
-                Interaction(
-                    user=user,
-                    item=item,
-                    rating=_parse_rating(row[2], path, lineno),
-                    timestamp=ts,
-                )
-            )
+            ts = row[3] if has_timestamp else ""
+            interactions.append(_interaction(path, lineno, row[0], row[1], row[2], ts))
     return interactions
 
 
@@ -280,6 +257,38 @@ def build_dataset(interactions, split_seed: int) -> InteractionDataset:
     )
 
 
+def read_item_records(path, items: IdIndex, field: str, kind: type, expected: str, parse=None):
+    """Read JSON-lines ``{"item_id": str, <field>: <kind>}`` records, skipping blank lines.
+
+    Returns ({item index: value}, count of records with an item_id not in
+    ``items``).  ``parse(value, "path:lineno")`` converts every record's value,
+    unknown ids included; malformed lines raise ValueError naming the line.
+    """
+    values = {}
+    skipped = 0
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: malformed JSON ({exc.msg})") from None
+            if (
+                not isinstance(record, dict)
+                or not isinstance(record.get("item_id"), str)
+                or not isinstance(record.get(field), kind)
+            ):
+                raise ValueError(f"{where}: expected object with {expected}")
+            value = record[field] if parse is None else parse(record[field], where)
+            if record["item_id"] not in items:
+                skipped += 1
+                continue
+            values[items.index(record["item_id"])] = value
+    return values, skipped
+
+
 def load_item_text(path, items: IdIndex) -> ItemTextCorpus:
     """Load a JSON-lines file of ``{"item_id": ..., "text": ...}`` records.
 
@@ -287,26 +296,7 @@ def load_item_text(path, items: IdIndex) -> ItemTextCorpus:
     returned corpus's ``skipped`` field.  Malformed lines raise ValueError
     naming the line number.
     """
-    texts = {}
-    skipped = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
-            if (
-                not isinstance(record, dict)
-                or not isinstance(record.get("item_id"), str)
-                or not isinstance(record.get("text"), str)
-            ):
-                raise ValueError(
-                    f"{path}:{lineno}: expected object with string fields item_id and text"
-                )
-            if record["item_id"] not in items:
-                skipped += 1
-                continue
-            texts[items.index(record["item_id"])] = record["text"]
+    texts, skipped = read_item_records(
+        path, items, "text", str, "string fields item_id and text"
+    )
     return ItemTextCorpus(texts=texts, skipped=skipped)

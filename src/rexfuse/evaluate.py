@@ -2,7 +2,6 @@
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,20 +18,16 @@ class EvalConfig:
 
     ``top_k`` is the recommendation list length, ``relevance_threshold`` the
     minimum test rating that counts as a hit, and ``exclude_train`` removes a
-    user's training items from their candidate pool.  ``workers`` > 1 scores
-    users in a thread pool; results are independent of execution order.
+    user's training items from their candidate pool.
     """
 
     top_k: int = 10
     relevance_threshold: float = 4.0
     exclude_train: bool = True
-    workers: int = 1
 
     def __post_init__(self):
         if self.top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -61,7 +56,7 @@ class EvalReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def topk(model, u: int, k: int, exclude=(), n_items: int = None) -> list:
+def topk(model, u: int, k: int, exclude=()) -> list:
     """The k highest-scoring items for user u, skipping ``exclude``.
 
     Ties break toward the lower item index, so identical scores always give
@@ -70,8 +65,7 @@ def topk(model, u: int, k: int, exclude=(), n_items: int = None) -> list:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    n = model.n_items if n_items is None else n_items
-    mask = np.ones(n, dtype=bool)
+    mask = np.ones(model.n_items, dtype=bool)
     excluded = np.asarray(list(exclude), dtype=np.int64)
     if excluded.size:
         mask[excluded] = False
@@ -129,13 +123,6 @@ def rmse(model, test: RatingTriples) -> float:
     return math.sqrt(float(np.mean(err * err)))
 
 
-def _train_items_by_user(train: RatingTriples) -> dict:
-    by_user = {}
-    for u, i in zip(train.users.tolist(), train.items.tolist()):
-        by_user.setdefault(u, set()).add(i)
-    return by_user
-
-
 def evaluate_model(
     model, dataset: InteractionDataset, config: EvalConfig = EvalConfig(), alpha=None
 ) -> EvalReport:
@@ -151,17 +138,12 @@ def evaluate_model(
             f"no user has a test item rated >= {config.relevance_threshold}"
         )
     users = sorted(relevant)
-    train_items = _train_items_by_user(dataset.train) if config.exclude_train else {}
+    # every training item counts at a threshold of -inf
+    train_items = relevant_items_by_user(dataset.train, -math.inf) if config.exclude_train else {}
 
-    def rank(u):
-        return topk(model, u, config.top_k, exclude=train_items.get(u, ()))
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            lists = list(pool.map(rank, users))
-    else:
-        lists = [rank(u) for u in users]
-    recommendations = dict(zip(users, lists))
+    recommendations = {
+        u: topk(model, u, config.top_k, exclude=train_items.get(u, ())) for u in users
+    }
 
     precision, recall = precision_recall(
         recommendations, dataset.test, config.relevance_threshold

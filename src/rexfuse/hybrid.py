@@ -1,6 +1,5 @@
 """Fusion of latent-factor and semantic scores, cold-start scoring, joint training."""
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -8,15 +7,14 @@ import numpy as np
 from .dataset import InteractionDataset, ItemTextCorpus
 from .mf import (
     FUSION_ADDITIVE,
-    FUSION_CONVEX,
     FactorModel,
     TrainConfig,
-    TrainingDiverged,
     _check_index,
-    epoch_shuffle,
+    fuse,
+    fusion_weights,
     init_factors,
     loss_regularized,
-    predict_mf,
+    sgd_epochs,
 )
 from .semantic import ItemEmbeddingTable, embed_corpus
 
@@ -47,10 +45,7 @@ class HybridModel:
             raise ValueError(
                 f"projection shape {self.projection.shape} does not match {expected}"
             )
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if self.fusion not in (FUSION_ADDITIVE, FUSION_CONVEX):
-            raise ValueError(f"unknown fusion mode {self.fusion!r}")
+        fusion_weights(self.alpha, self.fusion)
 
     @property
     def n_users(self) -> int:
@@ -73,44 +68,29 @@ class HybridModel:
 
     def score_items(self, u: int, items: np.ndarray) -> np.ndarray:
         cf = self.factors.score_items(u, items)
-        if self.alpha == 0.0 and self.fusion == FUSION_ADDITIVE:
-            return cf
-        sem = self.semantic_scores(u, items)
-        if self.fusion == FUSION_ADDITIVE:
-            return cf + self.alpha * sem
-        return (1.0 - self.alpha) * cf + self.alpha * sem
+        return fuse(cf, lambda: self.semantic_scores(u, items), self.alpha, self.fusion)
 
     def predict_pairs(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         cf = self.factors.predict_pairs(users, items)
-        if self.alpha == 0.0 and self.fusion == FUSION_ADDITIVE:
-            return cf
-        sem = np.einsum(
-            "ij,ij->i", self.factors.user_factors[users], self.projected_items()[items]
+        P = self.factors.user_factors
+        return fuse(
+            cf,
+            lambda: np.einsum("ij,ij->i", P[users], self.projected_items()[items]),
+            self.alpha,
+            self.fusion,
         )
-        if self.fusion == FUSION_ADDITIVE:
-            return cf + self.alpha * sem
-        return (1.0 - self.alpha) * cf + self.alpha * sem
 
 
 def semantic_score(model: HybridModel, u: int, i: int) -> float:
     """User affinity to the projected item embedding; 0 for items without one."""
-    _check_index(u, model.n_users, "user")
     _check_index(i, model.n_items, "item")
-    vec = model.embeddings.get(i)
-    if vec is None:
-        return 0.0
-    return float(model.factors.user_factors[u] @ (model.projection @ vec))
+    return float(model.semantic_scores(u, [i])[0])
 
 
 def predict_hybrid(model: HybridModel, u: int, i: int) -> float:
-    """Fused score; at alpha=0 (additive) this is exactly the factor prediction."""
-    if model.alpha == 0.0 and model.fusion == FUSION_ADDITIVE:
-        return predict_mf(model.factors, u, i)
-    cf = predict_mf(model.factors, u, i)
-    sem = semantic_score(model, u, i)
-    if model.fusion == FUSION_ADDITIVE:
-        return cf + model.alpha * sem
-    return (1.0 - model.alpha) * cf + model.alpha * sem
+    """Fused score; at alpha=0 this is exactly the factor prediction."""
+    _check_index(i, model.n_items, "item")
+    return float(model.score_items(u, [i])[0])
 
 
 def predict_cold_start(model: HybridModel, u: int, i: int) -> float:
@@ -119,12 +99,10 @@ def predict_cold_start(model: HybridModel, u: int, i: int) -> float:
     Meant for items with no training interactions.  Raises when the item has
     no embedding at all (nothing to score it from).
     """
-    _check_index(u, model.n_users, "user")
     _check_index(i, model.n_items, "item")
-    vec = model.embeddings.get(i)
-    if vec is None:
+    if i not in model.embeddings:
         raise ValueError(f"cold item without content: item {i} has no text or embedding")
-    return float(model.factors.user_factors[u] @ (model.projection @ vec))
+    return float(model.semantic_scores(u, [i])[0])
 
 
 def resolve_embeddings(source, dim=None) -> ItemEmbeddingTable:
@@ -146,24 +124,15 @@ def train_hybrid(
 ):
     """Jointly train user factors, item factors, and the projection by SGD.
 
-    Predictions during training use the fused score; with error e and
-    v = projection @ E_i the additive-mode updates are
-
-        P_u <- P_u - lr * (e * (Q_i + alpha * v) + reg * P_u)
-        Q_i <- Q_i - lr * (e * P_u + reg * Q_i)
-        W   <- W   - lr * (alpha * e * outer(P_u, E_i) + reg * W)
-
-    from the pre-update row values.  Embeddings themselves stay frozen.  At
-    alpha=0 the parameter path for P and Q is identical to plain factor
-    training (the projection only sees its decay term).  Returns the model
-    and the per-epoch regularized training loss.
+    Predictions during training use the fused score (updates in
+    ``sgd_epochs``); embeddings themselves stay frozen.  At alpha=0 the
+    parameter path for P and Q is identical to plain factor training (the
+    projection only sees its decay term).  Returns the model and the
+    per-epoch regularized training loss.
     """
     if len(dataset.train) == 0:
         raise ValueError("training split is empty")
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-    if fusion not in (FUSION_ADDITIVE, FUSION_CONVEX):
-        raise ValueError(f"unknown fusion mode {fusion!r}")
+    fusion_weights(alpha, fusion)  # reject a bad alpha or mode before embedding
     table = resolve_embeddings(embeddings_source, embed_dim)
     if len(table) == 0:
         raise ValueError("no item has an embedding; hybrid training needs at least one")
@@ -171,47 +140,15 @@ def train_hybrid(
     rng = np.random.default_rng(config.seed)
     factors = init_factors(dataset.n_users, dataset.n_items, config, rng=rng)
     W = rng.uniform(-config.init_scale, config.init_scale, (config.n_factors, table.dim))
-
-    P, Q = factors.user_factors, factors.item_factors
     E = table.dense(dataset.n_items)
-    tu, ti, tr = dataset.train.users, dataset.train.items, dataset.train.ratings
-    lr, lam = config.learning_rate, config.reg
-    decay = 1.0 - lr * lam
-    convex = fusion == FUSION_CONVEX
-    cf_w = 1.0 - alpha if convex else 1.0
 
-    losses = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(config.epochs):
-            for idx in epoch_shuffle(config.seed, epoch, len(tu)):
-                u, i, y = tu[idx], ti[idx], tr[idx]
-                pu, qi = P[u], Q[i]
-                if alpha == 0.0 and not convex:
-                    # same arithmetic as plain factor training, bit for bit
-                    err = pu @ qi - y
-                    new_pu = pu - lr * (err * qi + lam * pu)
-                    new_qi = qi - lr * (err * pu + lam * qi)
-                    W *= decay
-                else:
-                    ei = E[i]
-                    v = W @ ei
-                    err = cf_w * (pu @ qi) + alpha * (pu @ v) - y
-                    new_pu = pu - lr * (err * (cf_w * qi + alpha * v) + lam * pu)
-                    new_qi = qi - lr * (err * cf_w * pu + lam * qi)
-                    W -= lr * ((alpha * err) * np.outer(pu, ei) + lam * W)
-                P[u] = new_pu
-                Q[i] = new_qi
-            loss = loss_regularized(
-                factors, dataset.train, lam,
-                projection=W, embeddings=E, alpha=alpha, fusion=fusion,
-            )
-            if not math.isfinite(loss):
-                raise TrainingDiverged(
-                    f"training loss became non-finite at epoch {epoch + 1}; "
-                    f"try a smaller learning rate than {lr}"
-                )
-            losses.append(loss)
+    def loss():
+        return loss_regularized(
+            factors, dataset.train, config.reg,
+            projection=W, embeddings=E, alpha=alpha, fusion=fusion,
+        )
 
+    losses = sgd_epochs(factors, dataset.train, config, loss, head=(W, E, alpha, fusion))
     model = HybridModel(
         factors=factors, projection=W, embeddings=table, alpha=alpha, fusion=fusion
     )

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import InteractionDataset, RatingTriples
-from .semantic import ItemEmbeddingTable
 
 FUSION_ADDITIVE = "additive"
 FUSION_CONVEX = "convex"
@@ -75,6 +74,25 @@ class FactorModel:
         )
 
 
+def fusion_weights(alpha: float, fusion: str) -> tuple:
+    """(cf_w, sem_w) of the fused score cf_w * cf + sem_w * sem; raises on bad alpha or mode."""
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    if fusion == FUSION_ADDITIVE:
+        return 1.0, alpha
+    if fusion == FUSION_CONVEX:
+        return 1.0 - alpha, alpha
+    raise ValueError(f"unknown fusion mode {fusion!r}")
+
+
+def fuse(cf, semantic, alpha: float, fusion: str):
+    """Fused score; at alpha=0 it is ``cf`` itself and the ``semantic`` thunk is not called."""
+    cf_w, sem_w = fusion_weights(alpha, fusion)
+    if sem_w == 0.0:
+        return cf
+    return sem_w * semantic() + cf_w * cf  # semantic's temporaries go first: lower peak RSS
+
+
 def _check_index(idx, n, kind):
     if not 0 <= idx < n:
         raise IndexError(f"{kind} index {idx} out of range [0, {n})")
@@ -99,9 +117,8 @@ def init_factors(n_users: int, n_items: int, config: TrainConfig, rng=None) -> F
 
 def predict_mf(model: FactorModel, u: int, i: int) -> float:
     """Dot product of user and item factors."""
-    _check_index(u, model.n_users, "user")
     _check_index(i, model.n_items, "item")
-    return float(model.user_factors[u] @ model.item_factors[i])
+    return float(model.score_items(u, [i])[0])
 
 
 def loss_mse(pairs) -> float:
@@ -115,26 +132,22 @@ def loss_mse(pairs) -> float:
 
 def _fused_predictions(model, data, projection, embed_matrix, alpha, fusion):
     """Vectorized predictions over rating triples, plain or fused."""
-    cf = model.predict_pairs(data.users, data.items)
-    if projection is None or (alpha == 0.0 and fusion == FUSION_ADDITIVE):
+    us, its = data.users, data.items
+    cf = model.predict_pairs(us, its)
+    if projection is None:
         return cf
-    projected = embed_matrix[data.items] @ projection.T
-    sem = np.einsum("ij,ij->i", model.user_factors[data.users], projected)
-    if fusion == FUSION_ADDITIVE:
-        return cf + alpha * sem
-    if fusion == FUSION_CONVEX:
-        return (1.0 - alpha) * cf + alpha * sem
-    raise ValueError(f"unknown fusion mode {fusion!r}")
+
+    def semantic():
+        projected = embed_matrix[its] @ projection.T  # before the user-row gather: lower peak
+        return np.einsum("ij,ij->i", model.user_factors[us], projected)
+
+    return fuse(cf, semantic, alpha, fusion)
 
 
-def _resolve_embed_matrix(embeddings, n_items, projection):
-    if embeddings is None:
-        if projection is not None:
-            raise ValueError("a projection was given without item embeddings")
-        return None
-    if isinstance(embeddings, ItemEmbeddingTable):
-        return embeddings.dense(n_items)
-    return np.asarray(embeddings, dtype=np.float64)
+def _resolve_embed_matrix(embeddings, projection):
+    if embeddings is None and projection is not None:
+        raise ValueError("a projection was given without item embeddings")
+    return None if embeddings is None else np.asarray(embeddings, dtype=np.float64)
 
 
 def loss_regularized(
@@ -150,7 +163,7 @@ def loss_regularized(
 
     Each interaction penalizes the rows it touches (plus the projection in
     hybrid mode), matching the per-touch decay the SGD updates apply.  With
-    ``projection`` and ``embeddings`` present the error term uses fused
+    ``projection`` and dense ``embeddings`` present the error term uses fused
     predictions.
     """
     if len(data) == 0:
@@ -159,7 +172,7 @@ def loss_regularized(
         raise ValueError(
             f"projection shape {projection.shape} does not match n_factors {model.n_factors}"
         )
-    embed_matrix = _resolve_embed_matrix(embeddings, model.n_items, projection)
+    embed_matrix = _resolve_embed_matrix(embeddings, projection)
     pred = _fused_predictions(model, data, projection, embed_matrix, alpha, fusion)
     err = pred - data.ratings
     mse = float(np.mean(err * err))
@@ -191,17 +204,12 @@ def loss_gradients(
     P, Q = model.user_factors, model.item_factors
     us, its, ys = data.users, data.items, data.ratings
     n = len(data)
-    embed_matrix = _resolve_embed_matrix(embeddings, model.n_items, projection)
+    embed_matrix = _resolve_embed_matrix(embeddings, projection)
 
     pred = _fused_predictions(model, data, projection, embed_matrix, alpha, fusion)
     err = pred - ys
-
-    if fusion == FUSION_ADDITIVE:
-        cf_w, sem_w = 1.0, alpha
-    elif fusion == FUSION_CONVEX:
-        cf_w, sem_w = 1.0 - alpha, alpha
-    else:
-        raise ValueError(f"unknown fusion mode {fusion!r}")
+    # without a projection the prediction is the plain dot product
+    cf_w, sem_w = (1.0, 0.0) if projection is None else fusion_weights(alpha, fusion)
 
     # per-interaction regularization: each row is penalized once per touch
     user_touches = np.bincount(us, minlength=model.n_users)
@@ -210,17 +218,15 @@ def loss_gradients(
     grad_P = scale * reg * user_touches[:, None] * P
     grad_Q = scale * reg * item_touches[:, None] * Q
 
+    user_dir = cf_w * Q[its]
+    grad_W = None
     if projection is not None:
-        projected = embed_matrix[its] @ projection.T  # (n, k)
-        np.add.at(grad_P, us, scale * err[:, None] * (cf_w * Q[its] + sem_w * projected))
-        np.add.at(grad_Q, its, scale * cf_w * err[:, None] * P[us])
+        user_dir = user_dir + sem_w * (embed_matrix[its] @ projection.T)
         grad_W = 2.0 * reg * projection + scale * sem_w * (
             (err[:, None] * P[us]).T @ embed_matrix[its]
         )
-    else:
-        np.add.at(grad_P, us, scale * err[:, None] * Q[its])
-        np.add.at(grad_Q, its, scale * err[:, None] * P[us])
-        grad_W = None
+    np.add.at(grad_P, us, scale * err[:, None] * user_dir)
+    np.add.at(grad_Q, its, scale * cf_w * err[:, None] * P[us])
     return grad_P, grad_Q, grad_W
 
 
@@ -229,42 +235,76 @@ def epoch_shuffle(seed: int, epoch: int, n: int) -> np.ndarray:
     return np.random.default_rng([seed, epoch]).permutation(n)
 
 
-def train_mf(dataset: InteractionDataset, config: TrainConfig):
-    """Train factors by per-interaction SGD on the squared error.
+def sgd_epochs(model: FactorModel, train: RatingTriples, config: TrainConfig, loss, head=None):
+    """Per-interaction SGD in place; returns ``loss()`` after each epoch.
 
-    Each epoch visits the training interactions in a fresh deterministic
-    shuffle; with prediction error e, the touched rows move as
+    ``head`` is ``(W, E, alpha, fusion)`` to train a projection W jointly over
+    frozen dense embeddings E.  Each epoch visits ``train`` in a fresh
+    deterministic shuffle; with error e, v = W @ E_i and (cf_w, sem_w) from
+    ``fusion_weights``, the touched parameters move from their pre-update values as
 
-        P_u <- P_u - lr * (e * Q_i + reg * P_u)
-        Q_i <- Q_i - lr * (e * P_u + reg * Q_i)
+        P_u <- P_u - lr * (e * (cf_w * Q_i + sem_w * v) + reg * P_u)
+        Q_i <- Q_i - lr * (e * cf_w * P_u + reg * Q_i)
+        W   <- W   - lr * (sem_w * e * outer(P_u, E_i) + reg * W)
 
-    using the pre-update values of both rows.  Returns the model and the
-    regularized loss evaluated on the training split after each epoch.
-    Raises TrainingDiverged when the loss stops being finite.
+    When sem_w is 0 (no head, or alpha=0) this is the plain factor step and W
+    only decays, once per epoch in closed form.  Raises TrainingDiverged on a
+    non-finite loss.
     """
-    if len(dataset.train) == 0:
-        raise ValueError("training split is empty")
-    model = init_factors(dataset.n_users, dataset.n_items, config)
     P, Q = model.user_factors, model.item_factors
-    tu, ti, tr = dataset.train.users, dataset.train.items, dataset.train.ratings
+    tu, ti, tr = train.users, train.items, train.ratings
     lr, lam = config.learning_rate, config.reg
+    sem_w = 0.0
+    if head is not None:
+        W, E, alpha, fusion = head
+        cf_w, sem_w = fusion_weights(alpha, fusion)
 
     losses = []
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            for idx in epoch_shuffle(config.seed, epoch, len(tu)):
-                u, i, y = tu[idx], ti[idx], tr[idx]
-                pu, qi = P[u], Q[i]
-                err = pu @ qi - y
-                new_pu = pu - lr * (err * qi + lam * pu)
-                new_qi = qi - lr * (err * pu + lam * qi)
-                P[u] = new_pu
-                Q[i] = new_qi
-            loss = loss_regularized(model, dataset.train, lam)
-            if not math.isfinite(loss):
+            order = epoch_shuffle(config.seed, epoch, len(tu))
+            if sem_w == 0.0:
+                for idx in order:
+                    u, i, y = tu[idx], ti[idx], tr[idx]
+                    pu, qi = P[u], Q[i]
+                    err = pu @ qi - y
+                    new_pu = pu - lr * (err * qi + lam * pu)
+                    new_qi = qi - lr * (err * pu + lam * qi)
+                    P[u] = new_pu
+                    Q[i] = new_qi
+                if head is not None:
+                    W *= (1.0 - lr * lam) ** len(tu)
+            else:
+                for idx in order:
+                    u, i, y = tu[idx], ti[idx], tr[idx]
+                    pu, qi = P[u], Q[i]
+                    ei = E[i]
+                    v = W @ ei
+                    err = cf_w * (pu @ qi) + sem_w * (pu @ v) - y
+                    new_pu = pu - lr * (err * (cf_w * qi + sem_w * v) + lam * pu)
+                    new_qi = qi - lr * (err * cf_w * pu + lam * qi)
+                    W -= lr * ((sem_w * err) * np.outer(pu, ei) + lam * W)
+                    P[u] = new_pu
+                    Q[i] = new_qi
+            value = loss()
+            if not math.isfinite(value):
                 raise TrainingDiverged(
                     f"training loss became non-finite at epoch {epoch + 1}; "
                     f"try a smaller learning rate than {lr}"
                 )
-            losses.append(loss)
+            losses.append(value)
+    return losses
+
+
+def train_mf(dataset: InteractionDataset, config: TrainConfig):
+    """Train factors by per-interaction SGD on the squared error (``sgd_epochs``, no head).
+
+    Returns the model and the regularized training loss after each epoch.
+    """
+    if len(dataset.train) == 0:
+        raise ValueError("training split is empty")
+    model = init_factors(dataset.n_users, dataset.n_items, config)
+    losses = sgd_epochs(
+        model, dataset.train, config, lambda: loss_regularized(model, dataset.train, config.reg)
+    )
     return model, losses

@@ -1,5 +1,6 @@
 """Model persistence: a single self-describing JSON document per trained model."""
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -36,17 +37,6 @@ class ModelBundle:
     embedding_provider: Optional[dict] = None
 
 
-def _config_to_dict(config: TrainConfig) -> dict:
-    return {
-        "n_factors": config.n_factors,
-        "learning_rate": config.learning_rate,
-        "reg": config.reg,
-        "epochs": config.epochs,
-        "init_scale": config.init_scale,
-        "seed": config.seed,
-    }
-
-
 def save_bundle(bundle: ModelBundle, path) -> None:
     """Write the bundle as version-1 JSON; floats round-trip exactly."""
     if bundle.mode not in (MODE_MF, MODE_HYBRID):
@@ -67,28 +57,31 @@ def save_bundle(bundle: ModelBundle, path) -> None:
         "user_factors": factors.user_factors.tolist(),
         "item_factors": factors.item_factors.tolist(),
         "projection": model.projection.tolist() if hybrid else None,
-        "embeddings": None,
+        "embeddings": [
+            vec.tolist() if (vec := model.embeddings.get(i)) is not None else None
+            for i in range(factors.n_items)
+        ] if hybrid else None,
         "item_train_counts": np.asarray(bundle.item_train_counts).tolist(),
-        "train_config": _config_to_dict(bundle.config),
+        "train_config": dataclasses.asdict(bundle.config),
         "split_seed": bundle.split_seed,
         "embedding_provider": bundle.embedding_provider,
     }
-    if hybrid:
-        n_items = factors.n_items
-        doc["embeddings"] = [
-            vec.tolist() if (vec := model.embeddings.get(i)) is not None else None
-            for i in range(n_items)
-        ]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")
 
 
 def load_bundle(path) -> ModelBundle:
-    """Read a model file, rejecting unknown versions and malformed shapes."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    version = doc.get("version")
+    """Read a model file, rejecting unknown versions and malformed fields.
+
+    Every failure is a one-line ValueError naming the file and the field.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: malformed JSON ({exc.msg})") from None
+    version = doc.get("version") if isinstance(doc, dict) else None
     if version != FORMAT_VERSION:
         raise ValueError(
             f"{path}: unsupported model file version {version!r} (expected {FORMAT_VERSION})"
@@ -97,42 +90,74 @@ def load_bundle(path) -> ModelBundle:
     if mode not in (MODE_MF, MODE_HYBRID):
         raise ValueError(f"{path}: unknown model mode {mode!r}")
 
-    factors = FactorModel(
-        user_factors=np.array(doc["user_factors"], dtype=np.float64),
-        item_factors=np.array(doc["item_factors"], dtype=np.float64),
-    )
-    if mode == MODE_HYBRID:
-        vectors = {
-            i: np.array(vec, dtype=np.float64)
-            for i, vec in enumerate(doc["embeddings"])
-            if vec is not None
-        }
-        table = ItemEmbeddingTable(dim=doc["embedding_dim"], vectors=vectors)
-        model = HybridModel(
-            factors=factors,
-            projection=np.array(doc["projection"], dtype=np.float64),
-            embeddings=table,
-            alpha=doc["alpha"],
-            fusion=doc["fusion"],
-        )
-    else:
-        model = factors
+    def bad(name, problem):
+        return ValueError(f"{path}: field {name!r} {problem}")
 
-    cfg = doc["train_config"]
+    def need(name):
+        if name not in doc:
+            raise bad(name, "is missing")
+        return doc[name]
+
+    def integer(name, low):
+        value = need(name)
+        if not isinstance(value, int) or value < low:
+            raise bad(name, f"must be an integer >= {low}, got {value!r}")
+        return value
+
+    def array(name, raw, shape, dtype=np.float64):
+        """``raw`` as a finite array of ``shape``; None in ``shape`` matches any size."""
+        try:
+            arr = np.array(raw, dtype=dtype)
+        except (TypeError, ValueError):
+            raise bad(name, "must be an array of numbers") from None
+        fits = arr.ndim == len(shape) and all(s in (None, n) for n, s in zip(arr.shape, shape))
+        if not fits or not np.all(np.isfinite(arr)):
+            raise bad(name, f"must be a finite array of shape {shape}, got shape {arr.shape}")
+        return arr
+
+    def ids(name, rows):
+        raw = need(name)
+        if not (isinstance(raw, list) and all(isinstance(x, str) for x in raw)
+                and len(set(raw)) == len(raw) == rows):
+            raise bad(name, f"must list {rows} distinct string ids, one per factor row")
+        return IdIndex(raw)
+
+    k = integer("n_factors", 1)
+    factors = FactorModel(
+        user_factors=array("user_factors", need("user_factors"), (None, k)),
+        item_factors=array("item_factors", need("item_factors"), (None, k)),
+    )
+    n_items = factors.n_items
+    users, items = ids("users", factors.n_users), ids("items", n_items)
+    counts = array("item_train_counts", need("item_train_counts"), (n_items,), np.int64)
+    model = factors
+    if mode == MODE_HYBRID:
+        dim = integer("embedding_dim", 1)
+        rows = need("embeddings")
+        if not isinstance(rows, list) or len(rows) != n_items:
+            raise bad("embeddings", f"must list one vector or null per item ({n_items})")
+        vectors = {i: v for i, v in enumerate(rows) if v is not None}
+        vectors = {i: array(f"embeddings[{i}]", v, (dim,)) for i, v in vectors.items()}
+        projection = array("projection", need("projection"), (k, dim))
+        alpha, fusion = need("alpha"), need("fusion")
+        try:
+            table = ItemEmbeddingTable(dim, vectors)
+            model = HybridModel(factors, projection, table, alpha, fusion)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad alpha or fusion ({exc})") from None
+
+    cfg = need("train_config")
+    try:
+        config = TrainConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig)})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise bad("train_config", f"is invalid ({exc!r})") from None
     return ModelBundle(
         mode=mode,
         model=model,
-        users=IdIndex(doc["users"]),
-        items=IdIndex(doc["items"]),
-        config=TrainConfig(
-            n_factors=cfg["n_factors"],
-            learning_rate=cfg["learning_rate"],
-            reg=cfg["reg"],
-            epochs=cfg["epochs"],
-            init_scale=cfg["init_scale"],
-            seed=cfg["seed"],
-        ),
-        split_seed=doc["split_seed"],
-        item_train_counts=np.array(doc["item_train_counts"], dtype=np.int64),
+        users=users,
+        items=items,
+        config=config,
+        split_seed=integer("split_seed", 0),
+        item_train_counts=counts,
         embedding_provider=doc.get("embedding_provider"),
     )

@@ -1,13 +1,12 @@
 """Item text embeddings: deterministic hashed bag-of-words and precomputed-file providers."""
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import IdIndex, ItemTextCorpus
+from .dataset import IdIndex, ItemTextCorpus, read_item_records
 
 _FNV64_OFFSET = 0xCBF29CE484222325
 _FNV64_PRIME = 0x100000001B3
@@ -98,40 +97,24 @@ def load_embeddings_file(path, items: IdIndex) -> ItemEmbeddingTable:
     naming the line, as do non-finite values.  Unknown item_ids are skipped
     and counted.
     """
-    vectors = {}
-    skipped = 0
     dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
-            if (
-                not isinstance(record, dict)
-                or not isinstance(record.get("item_id"), str)
-                or not isinstance(record.get("vector"), list)
-            ):
-                raise ValueError(
-                    f"{path}:{lineno}: expected object with item_id and vector fields"
-                )
-            vec = np.array(record["vector"], dtype=np.float64)
-            if vec.ndim != 1 or vec.size == 0:
-                raise ValueError(f"{path}:{lineno}: vector must be a non-empty flat list")
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise ValueError(
-                    f"{path}:{lineno}: vector has length {vec.size}, expected {dim}"
-                )
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"{path}:{lineno}: vector contains non-finite values")
-            if record["item_id"] not in items:
-                skipped += 1
-                continue
-            vectors[items.index(record["item_id"])] = vec
+
+    def parse(raw, where):
+        nonlocal dim
+        vec = np.array(raw, dtype=np.float64)
+        if vec.ndim != 1 or vec.size == 0:
+            raise ValueError(f"{where}: vector must be a non-empty flat list")
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise ValueError(f"{where}: vector has length {vec.size}, expected {dim}")
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"{where}: vector contains non-finite values")
+        return vec
+
+    vectors, skipped = read_item_records(
+        path, items, "vector", list, "item_id and vector fields", parse
+    )
     if dim is None:
         raise ValueError(f"{path}: no embeddings found")
     return ItemEmbeddingTable(dim=dim, vectors=vectors, skipped=skipped)

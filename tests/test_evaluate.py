@@ -186,13 +186,6 @@ def test_evaluate_model_excludes_train_items():
         assert not (set(rec) & train_items.get(u, set()))
 
 
-def test_evaluate_model_worker_count_does_not_change_result():
-    ds, model = trained_small()
-    serial = evaluate_model(model, ds, EvalConfig(top_k=5, workers=1))
-    threaded = evaluate_model(model, ds, EvalConfig(top_k=5, workers=4))
-    assert serial == threaded
-
-
 def test_evaluate_model_requires_relevant_users():
     ds, model = trained_small()
     with pytest.raises(ValueError, match="no user"):

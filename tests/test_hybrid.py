@@ -178,19 +178,21 @@ def hybrid_toy_dataset():
     return ds, table
 
 
-def test_alpha_zero_training_matches_mf_bitwise():
+@pytest.mark.parametrize("fusion", ["additive", "convex"])
+def test_alpha_zero_training_matches_mf_bitwise(fusion):
     ds, table = hybrid_toy_dataset()
     cfg = TrainConfig(n_factors=3, epochs=8, seed=13)
     mf_model, _ = train_mf(ds, cfg)
-    hy_model, _ = train_hybrid(ds, table, cfg, alpha=0.0)
+    hy_model, _ = train_hybrid(ds, table, cfg, alpha=0.0, fusion=fusion)
     assert np.array_equal(mf_model.user_factors, hy_model.factors.user_factors)
     assert np.array_equal(mf_model.item_factors, hy_model.factors.item_factors)
 
 
-def test_alpha_zero_projection_gets_pure_decay():
+@pytest.mark.parametrize("fusion", ["additive", "convex"])
+def test_alpha_zero_projection_gets_pure_decay(fusion):
     ds, table = hybrid_toy_dataset()
     cfg = TrainConfig(n_factors=3, epochs=8, seed=13)
-    hy_model, _ = train_hybrid(ds, table, cfg, alpha=0.0)
+    hy_model, _ = train_hybrid(ds, table, cfg, alpha=0.0, fusion=fusion)
 
     rng = np.random.default_rng(cfg.seed)
     rng.uniform(-cfg.init_scale, cfg.init_scale, (ds.n_users, cfg.n_factors))

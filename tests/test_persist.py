@@ -117,3 +117,43 @@ def test_save_rejects_unknown_mode(tmp_path):
     bundle.mode = "oops"
     with pytest.raises(ValueError, match="mode"):
         save_bundle(bundle, tmp_path / "model.json")
+
+
+def _truncate_counts(doc):
+    doc["item_train_counts"] = doc["item_train_counts"][:3]
+
+
+def _drop_user_ids(doc):
+    doc["users"] = doc["users"][:-5]
+
+
+def _drop_user_factors(doc):
+    del doc["user_factors"]
+
+
+def _non_numeric_factor(doc):
+    doc["item_factors"][0][0] = "x"
+
+
+@pytest.mark.parametrize(
+    "corrupt, field",
+    [
+        (_truncate_counts, "item_train_counts"),
+        (_drop_user_ids, "users"),
+        (_drop_user_factors, "user_factors"),
+        (_non_numeric_factor, "item_factors"),
+    ],
+    ids=["short-item-counts", "missing-user-ids", "missing-key", "non-numeric-factor"],
+)
+def test_malformed_field_rejected_naming_file_and_field(tmp_path, corrupt, field):
+    _, bundle = hybrid_bundle()
+    path = tmp_path / "model.json"
+    save_bundle(bundle, path)
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
+        load_bundle(path)
+    message = str(info.value)
+    assert str(path) in message and repr(field) in message
+    assert "\n" not in message
