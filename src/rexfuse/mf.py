@@ -1,6 +1,7 @@
 """Latent-factor model: dot-product scoring and regularized SGD training."""
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,6 +236,29 @@ def epoch_shuffle(seed: int, epoch: int, n: int) -> np.ndarray:
     return np.random.default_rng([seed, epoch]).permutation(n)
 
 
+def conflict_free_levels(users, items, n_users: int, n_items: int) -> np.ndarray:
+    """Level of each interaction in visit order, for conflict-free batched SGD.
+
+    An interaction's level is one more than the highest level of any earlier
+    interaction that shares its user or its item (1 if there is none).  So no
+    user or item appears twice in one level, and every earlier touch of a row
+    sits in a lower level: applying whole levels in increasing order replays
+    the per-interaction order exactly (the stratification of DSGD, without
+    its approximation).
+    """
+    user_level = [0] * n_users
+    item_level = [0] * n_items
+    levels = array("q")
+    append = levels.append
+    # memoryview yields one Python int at a time: no list copies of the inputs
+    for u, i in zip(memoryview(users), memoryview(items)):
+        a, b = user_level[u], item_level[i]
+        level = (a if a > b else b) + 1
+        user_level[u] = item_level[i] = level
+        append(level)
+    return np.frombuffer(levels, dtype=np.int64)
+
+
 def sgd_epochs(model: FactorModel, train: RatingTriples, config: TrainConfig, loss, head=None):
     """Per-interaction SGD in place; returns ``loss()`` after each epoch.
 
@@ -248,8 +272,11 @@ def sgd_epochs(model: FactorModel, train: RatingTriples, config: TrainConfig, lo
         W   <- W   - lr * (sem_w * e * outer(P_u, E_i) + reg * W)
 
     When sem_w is 0 (no head, or alpha=0) this is the plain factor step and W
-    only decays, once per epoch in closed form.  Raises TrainingDiverged on a
-    non-finite loss.
+    only decays, once per epoch in closed form.  The plain step runs one
+    ``conflict_free_levels`` level at a time, vectorized over its rows; the
+    result is bitwise that of the per-interaction order.  The fused step, which
+    shares W across all interactions, runs one interaction at a time.  Raises
+    TrainingDiverged on a non-finite loss.
     """
     P, Q = model.user_factors, model.item_factors
     tu, ti, tr = train.users, train.items, train.ratings
@@ -264,14 +291,19 @@ def sgd_epochs(model: FactorModel, train: RatingTriples, config: TrainConfig, lo
         for epoch in range(config.epochs):
             order = epoch_shuffle(config.seed, epoch, len(tu))
             if sem_w == 0.0:
-                for idx in order:
-                    u, i, y = tu[idx], ti[idx], tr[idx]
+                levels = conflict_free_levels(tu[order], ti[order], len(P), len(Q))
+                order = order[np.argsort(levels, kind="stable")]
+                bounds = np.cumsum(np.bincount(levels)).tolist()
+                del levels
+                for lo, hi in zip(bounds, bounds[1:]):
+                    batch = order[lo:hi]
+                    u, i = tu[batch], ti[batch]
                     pu, qi = P[u], Q[i]
-                    err = pu @ qi - y
-                    new_pu = pu - lr * (err * qi + lam * pu)
-                    new_qi = qi - lr * (err * pu + lam * qi)
-                    P[u] = new_pu
-                    Q[i] = new_qi
+                    # vecdot calls the same BLAS ddot per row as a 1-D ``pu @ qi``;
+                    # einsum and (pu * qi).sum(1) round differently
+                    err = (np.vecdot(pu, qi) - tr[batch])[:, None]
+                    P[u] = pu - lr * (err * qi + lam * pu)
+                    Q[i] = qi - lr * (err * pu + lam * qi)
                 if head is not None:
                     W *= (1.0 - lr * lam) ** len(tu)
             else:

@@ -104,11 +104,11 @@ def load_bundle(path) -> ModelBundle:
             raise bad(name, f"must be an integer >= {low}, got {value!r}")
         return value
 
-    def array(name, raw, shape, dtype=np.float64):
-        """``raw`` as a finite array of ``shape``; None in ``shape`` matches any size."""
+    def array(name, raw, shape):
+        """``raw`` as a finite float array of ``shape``; None in ``shape`` matches any size."""
         try:
-            arr = np.array(raw, dtype=dtype)
-        except (TypeError, ValueError):
+            arr = np.array(raw, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
             raise bad(name, "must be an array of numbers") from None
         fits = arr.ndim == len(shape) and all(s in (None, n) for n, s in zip(arr.shape, shape))
         if not fits or not np.all(np.isfinite(arr)):
@@ -129,7 +129,12 @@ def load_bundle(path) -> ModelBundle:
     )
     n_items = factors.n_items
     users, items = ids("users", factors.n_users), ids("items", n_items)
-    counts = array("item_train_counts", need("item_train_counts"), (n_items,), np.int64)
+    counts = need("item_train_counts")
+    # a negative count would make an item neither warm (> 0) nor cold (== 0)
+    if not (isinstance(counts, list) and len(counts) == n_items
+            and all(type(c) is int and 0 <= c < 2**63 for c in counts)):
+        raise bad("item_train_counts", f"must list {n_items} non-negative integers, one per item")
+    counts = np.array(counts, dtype=np.int64)
     model = factors
     if mode == MODE_HYBRID:
         dim = integer("embedding_dim", 1)

@@ -94,16 +94,22 @@ def load_embeddings_file(path, items: IdIndex) -> ItemEmbeddingTable:
 
     Each line is ``{"item_id": str, "vector": [numbers]}``.  The first line
     fixes the dimension; later lines with a different length raise ValueError
-    naming the line, as do non-finite values.  Unknown item_ids are skipped
-    and counted.
+    naming the line, as do non-numeric and non-finite values.  Unknown
+    item_ids are skipped and counted.
     """
     dim = None
 
     def parse(raw, where):
         nonlocal dim
-        vec = np.array(raw, dtype=np.float64)
-        if vec.ndim != 1 or vec.size == 0:
+        if not raw:
             raise ValueError(f"{where}: vector must be a non-empty flat list")
+        try:
+            # numpy would read "1.5" and true as numbers
+            if not all(type(x) in (int, float) for x in raw):
+                raise TypeError
+            vec = np.array(raw, dtype=np.float64)
+        except (TypeError, OverflowError):
+            raise ValueError(f"{where}: vector must be a list of numbers") from None
         if dim is None:
             dim = vec.size
         elif vec.size != dim:

@@ -131,6 +131,29 @@ def full_batch_gd(
     )
 
 
+def sgd_sequential_reference(P, Q, users, items, ratings, lr, lam, seed, epochs, loss):
+    """Plain per-interaction MF SGD, in place; returns ``loss()`` after each epoch.
+
+    Each epoch visits the interactions in the order
+    ``default_rng([seed, epoch]).permutation(n)`` and updates one (P_u, Q_i)
+    pair at a time from their pre-update values.  The package's level-batched
+    step must reproduce this loop bit for bit.
+    """
+    losses = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            for idx in np.random.default_rng([seed, epoch]).permutation(len(users)):
+                u, i, y = users[idx], items[idx], ratings[idx]
+                pu, qi = P[u], Q[i]
+                err = pu @ qi - y
+                new_pu = pu - lr * (err * qi + lam * pu)
+                new_qi = qi - lr * (err * pu + lam * qi)
+                P[u] = new_pu
+                Q[i] = new_qi
+            losses.append(loss())
+    return losses
+
+
 def topk_bruteforce(score_of, n_items, k, exclude=()):
     """Sort every candidate by (-score, index) and take the first k."""
     excluded = set(exclude)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rexfuse.dataset import RatingTriples
+from rexfuse.dataset import RatingTriples, build_dataset, load_interactions
 from rexfuse.mf import (
     FactorModel,
     TrainConfig,
     TrainingDiverged,
+    conflict_free_levels,
     init_factors,
     loss_gradients,
     loss_mse,
@@ -15,8 +18,14 @@ from rexfuse.mf import (
 )
 
 from conftest import dense_dataset, random_interactions
-from oracles import central_differences, full_batch_gd, loss_eq6_naive, mse_resum
-from rexfuse.dataset import build_dataset
+from oracles import (
+    central_differences,
+    full_batch_gd,
+    loss_eq6_naive,
+    mse_resum,
+    sgd_sequential_reference,
+)
+from synth import write_ml100k_like
 
 
 def rank1_dataset():
@@ -181,6 +190,61 @@ def test_train_is_deterministic():
     assert np.array_equal(a.user_factors, b.user_factors)
     assert np.array_equal(a.item_factors, b.item_factors)
     assert la == lb
+
+
+def assert_train_matches_sequential_reference(ds, cfg):
+    model, losses = train_mf(ds, cfg)
+    ref = init_factors(ds.n_users, ds.n_items, cfg)
+    t = ds.train
+    ref_losses = sgd_sequential_reference(
+        ref.user_factors, ref.item_factors, t.users, t.items, t.ratings,
+        cfg.learning_rate, cfg.reg, cfg.seed, cfg.epochs,
+        lambda: loss_regularized(ref, t, cfg.reg),
+    )
+    assert np.array_equal(model.user_factors, ref.user_factors)
+    assert np.array_equal(model.item_factors, ref.item_factors)
+    assert losses == ref_losses
+
+
+def test_train_matches_sequential_reference_bitwise_with_repeats():
+    rng = np.random.default_rng(12)
+    rows = [
+        (int(rng.integers(0, 6)), int(rng.integers(0, 7)), float(rng.integers(1, 6)))
+        for _ in range(150)
+    ]
+    rows += rows[:40]  # duplicate (user, item) pairs on top of the random repeats
+    cfg = TrainConfig(n_factors=5, learning_rate=0.02, epochs=6, seed=3)
+    assert_train_matches_sequential_reference(dense_dataset(rows, 6, 7), cfg)
+
+
+def test_train_matches_sequential_reference_bitwise_at_ml100k_scale(tmp_path):
+    path = tmp_path / "u.data"
+    write_ml100k_like(str(path))
+    ds = build_dataset(load_interactions(str(path), "movielens100k"), split_seed=42)
+    cfg = TrainConfig(n_factors=32, learning_rate=0.02, epochs=2, seed=11)
+    assert_train_matches_sequential_reference(ds, cfg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 7)), max_size=80))
+def test_conflict_free_levels_properties(pairs):
+    users = np.array([u for u, _ in pairs], dtype=np.int64)
+    items = np.array([i for _, i in pairs], dtype=np.int64)
+    levels = conflict_free_levels(users, items, 6, 8).tolist()
+    assert len(levels) == len(pairs)
+    for k, (u, i) in enumerate(pairs):
+        earlier = [levels[j] for j in range(k) if pairs[j][0] == u or pairs[j][1] == i]
+        assert levels[k] == 1 + max(earlier, default=0)  # above every earlier touch, no gap
+
+    by_level = {}
+    for k, level in enumerate(levels):
+        by_level.setdefault(level, []).append(k)
+    assert sorted(by_level) == list(range(1, len(by_level) + 1))
+    for members in by_level.values():
+        assert len({pairs[k][0] for k in members}) == len(members)
+        assert len({pairs[k][1] for k in members}) == len(members)
+    visited = sorted(k for members in by_level.values() for k in members)
+    assert visited == list(range(len(pairs)))
 
 
 def test_heavy_regularization_shrinks_norms():

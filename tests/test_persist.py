@@ -123,6 +123,14 @@ def _truncate_counts(doc):
     doc["item_train_counts"] = doc["item_train_counts"][:3]
 
 
+def _fractional_count(doc):
+    doc["item_train_counts"][0] = 1.7
+
+
+def _negative_count(doc):
+    doc["item_train_counts"][0] = -2
+
+
 def _drop_user_ids(doc):
     doc["users"] = doc["users"][:-5]
 
@@ -135,15 +143,25 @@ def _non_numeric_factor(doc):
     doc["item_factors"][0][0] = "x"
 
 
+def _huge_int_factor(doc):
+    doc["user_factors"][0][0] = 10**400
+
+
 @pytest.mark.parametrize(
     "corrupt, field",
     [
         (_truncate_counts, "item_train_counts"),
+        (_fractional_count, "item_train_counts"),
+        (_negative_count, "item_train_counts"),
         (_drop_user_ids, "users"),
         (_drop_user_factors, "user_factors"),
         (_non_numeric_factor, "item_factors"),
+        (_huge_int_factor, "user_factors"),
     ],
-    ids=["short-item-counts", "missing-user-ids", "missing-key", "non-numeric-factor"],
+    ids=[
+        "short-item-counts", "fractional-item-count", "negative-item-count",
+        "missing-user-ids", "missing-key", "non-numeric-factor", "huge-int-factor",
+    ],
 )
 def test_malformed_field_rejected_naming_file_and_field(tmp_path, corrupt, field):
     _, bundle = hybrid_bundle()

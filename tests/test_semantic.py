@@ -108,6 +108,19 @@ def test_load_embeddings_non_finite_rejected(tmp_path):
         load_embeddings_file(path, IdIndex(["a"]))
 
 
+@pytest.mark.parametrize(
+    "vector", [[1, "x"], [1.0, {"y": 2}], [[1.0], 2.0], ["1.5", 2.0], [1.0, True], [1, 10**400]]
+)
+def test_load_embeddings_non_number_names_file_and_line(tmp_path, vector):
+    path = write_jsonl(tmp_path, [
+        json.dumps({"item_id": "a", "vector": [1.0, 2.0]}),
+        json.dumps({"item_id": "b", "vector": vector}),
+    ])
+    with pytest.raises(ValueError) as info:
+        load_embeddings_file(path, IdIndex(["a", "b"]))
+    assert str(info.value) == f"{path}:2: vector must be a list of numbers"
+
+
 def test_load_embeddings_unknown_id_skipped(tmp_path):
     path = write_jsonl(tmp_path, [
         json.dumps({"item_id": "nope", "vector": [1.0, 2.0]}),
