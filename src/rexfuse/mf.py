@@ -259,6 +259,35 @@ def conflict_free_levels(users, items, n_users: int, n_items: int) -> np.ndarray
     return np.frombuffer(levels, dtype=np.int64)
 
 
+RUN_CAP = 64  # longest run of visits solved as one system in the fused step
+
+
+def conflict_free_runs(
+    users, items, n_users: int, n_items: int, cap: int = RUN_CAP
+) -> np.ndarray:
+    """Boundaries ``[0, ..., n]`` of the runs of the fused SGD step, in visit order.
+
+    A run is a maximal stretch of consecutive visits in which no user and no
+    item repeats, and at most ``cap`` long: a run ends just before the first
+    visit whose user or item it already holds, or when it reaches ``cap``.
+    Within a run every visit reads its factor rows at their run-start values.
+    """
+    user_run = [-1] * n_users
+    item_run = [-1] * n_items
+    bounds = array("q", [0])
+    append = bounds.append
+    run = start = 0
+    for k, (u, i) in enumerate(zip(memoryview(users), memoryview(items))):
+        if user_run[u] == run or item_run[i] == run or k - start == cap:
+            run += 1
+            start = k
+            append(k)
+        user_run[u] = item_run[i] = run
+    if len(users):
+        append(len(users))
+    return np.frombuffer(bounds, dtype=np.int64)
+
+
 def sgd_epochs(model: FactorModel, train: RatingTriples, config: TrainConfig, loss, head=None):
     """Per-interaction SGD in place; returns ``loss()`` after each epoch.
 
@@ -274,13 +303,25 @@ def sgd_epochs(model: FactorModel, train: RatingTriples, config: TrainConfig, lo
     When sem_w is 0 (no head, or alpha=0) this is the plain factor step and W
     only decays, once per epoch in closed form.  The plain step runs one
     ``conflict_free_levels`` level at a time, vectorized over its rows; the
-    result is bitwise that of the per-interaction order.  The fused step, which
-    shares W across all interactions, runs one interaction at a time.  Raises
-    TrainingDiverged on a non-finite loss.
+    result is bitwise that of the per-interaction order.
+
+    The fused step, which shares W across all interactions, runs one
+    ``conflict_free_runs`` run at a time.  Within a run of n visits every P_u
+    and Q_i keeps its run-start value, and with c = 1 - lr * reg the visit t
+    sees W_t = c^t W0 - lr * sem_w * sum_{m<t} c^(t-1-m) e_m outer(P_m, E_m).
+    So the run's errors solve the unit lower-triangular system (I + K) e = r with
+
+        r_t  = cf_w * P_t.Q_t + sem_w * c^t * P_t.(W0 E_t) - y_t
+        K_tm = lr * sem_w^2 * c^(t-1-m) * (E_m.E_t) * (P_m.P_t)    (m < t)
+
+    and one solve plus a few matrix products apply every visit of the run.
+    That is the per-interaction sequence in exact arithmetic; only rounding
+    differs (about 1e-13 relative).  Raises TrainingDiverged on a non-finite loss.
     """
     P, Q = model.user_factors, model.item_factors
     tu, ti, tr = train.users, train.items, train.ratings
     lr, lam = config.learning_rate, config.reg
+    c = 1.0 - lr * lam
     sem_w = 0.0
     if head is not None:
         W, E, alpha, fusion = head
@@ -288,6 +329,12 @@ def sgd_epochs(model: FactorModel, train: RatingTriples, config: TrainConfig, lo
 
     losses = []
     with np.errstate(over="ignore", invalid="ignore"):
+        if sem_w != 0.0:
+            powers = c ** np.arange(RUN_CAP + 1)  # c^t
+            lags = np.subtract.outer(np.arange(RUN_CAP), np.arange(RUN_CAP)) - 1
+            # [t, m]: lr * sem_w^2 * c^(t-1-m) for m < t, else 0
+            decay = np.where(lags >= 0, (lr * sem_w * sem_w) * c ** np.maximum(lags, 0), 0.0)
+            sem_powers, w_steps = sem_w * powers, (lr * sem_w) * powers
         for epoch in range(config.epochs):
             order = epoch_shuffle(config.seed, epoch, len(tu))
             if sem_w == 0.0:
@@ -305,19 +352,31 @@ def sgd_epochs(model: FactorModel, train: RatingTriples, config: TrainConfig, lo
                     P[u] = pu - lr * (err * qi + lam * pu)
                     Q[i] = qi - lr * (err * pu + lam * qi)
                 if head is not None:
-                    W *= (1.0 - lr * lam) ** len(tu)
+                    W *= c ** len(tu)
             else:
-                for idx in order:
-                    u, i, y = tu[idx], ti[idx], tr[idx]
-                    pu, qi = P[u], Q[i]
-                    ei = E[i]
-                    v = W @ ei
-                    err = cf_w * (pu @ qi) + sem_w * (pu @ v) - y
-                    new_pu = pu - lr * (err * (cf_w * qi + sem_w * v) + lam * pu)
-                    new_qi = qi - lr * (err * cf_w * pu + lam * qi)
-                    W -= lr * ((sem_w * err) * np.outer(pu, ei) + lam * W)
-                    P[u] = new_pu
-                    Q[i] = new_qi
+                us, its, ys = tu[order], ti[order], tr[order]
+                bounds = conflict_free_runs(us, its, len(P), len(Q)).tolist()
+                for lo, hi in zip(bounds, bounds[1:]):
+                    n = hi - lo
+                    u, i = us[lo:hi], its[lo:hi]
+                    pu, qi, ei = P[u], Q[i], E[i]
+                    cq = cf_w * qi
+                    sw = sem_powers[:n, None] * (ei @ W.T)  # row t: sem_w * c^t * W0 @ E_t
+                    coupling = decay[:n, :n] * (ei @ ei.T)  # K without its P_m.P_t factor
+                    system = coupling * (pu @ pu.T)
+                    system.flat[:: n + 1] = 1.0
+                    r = np.vecdot(pu, cq + sw) - ys[lo:hi]
+                    try:
+                        err = np.linalg.solve(system, r)
+                    except np.linalg.LinAlgError:  # only once values have overflowed
+                        err = np.full(n, np.nan)
+                    sv = sw - (coupling * err) @ pu  # row t: sem_w * W_t @ E_t
+                    step = (lr * err)[:, None]
+                    P[u] = c * pu - step * (cq + sv)
+                    Q[i] = c * qi - (cf_w * step) * pu
+                    # W_n = c^n W0 - lr * sem_w * sum_m c^(n-1-m) e_m outer(P_m, E_m)
+                    W *= powers[n]
+                    W -= ((w_steps[n - 1 :: -1] * err)[:, None] * pu).T @ ei
             value = loss()
             if not math.isfinite(value):
                 raise TrainingDiverged(

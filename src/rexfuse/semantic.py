@@ -24,6 +24,24 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
+def _bucket_and_sign(token: str, dim: int) -> tuple:
+    """Bucket (hash mod dim) and sign (+1 when the top hash bit is 0) of one token."""
+    h = fnv1a64(token.encode("utf-8"))
+    return h % dim, (1.0 if h < 1 << 63 else -1.0)
+
+
+def _check_dim(dim):
+    if dim < 1:
+        raise ValueError(f"embedding dim must be >= 1, got {dim}")
+
+
+def _l2_normalized(vec: np.ndarray) -> np.ndarray:
+    norm = math.sqrt(float(vec @ vec))
+    if norm > 0.0:
+        vec /= norm
+    return vec
+
+
 def embed_hashed_bow(text: str, dim: int) -> np.ndarray:
     """Embed text as a signed, hashed bag-of-words vector.
 
@@ -33,17 +51,12 @@ def embed_hashed_bow(text: str, dim: int) -> np.ndarray:
     L2-normalized; text with no tokens gives the zero vector.  The result is
     bit-exact across runs and platforms.
     """
-    if dim < 1:
-        raise ValueError(f"embedding dim must be >= 1, got {dim}")
+    _check_dim(dim)
     vec = np.zeros(dim, dtype=np.float64)
     for token in _TOKEN_RE.findall(text.lower()):
-        h = fnv1a64(token.encode("utf-8"))
-        sign = 1.0 if h < 1 << 63 else -1.0
-        vec[h % dim] += sign
-    norm = math.sqrt(float(vec @ vec))
-    if norm > 0.0:
-        vec /= norm
-    return vec
+        bucket, sign = _bucket_and_sign(token, dim)
+        vec[bucket] += sign
+    return _l2_normalized(vec)
 
 
 @dataclass(frozen=True)
@@ -84,8 +97,32 @@ class ItemEmbeddingTable:
 
 
 def embed_corpus(corpus: ItemTextCorpus, dim: int) -> ItemEmbeddingTable:
-    """Hashed bag-of-words embeddings for every item that has text."""
-    vectors = {idx: embed_hashed_bow(text, dim) for idx, text in corpus.texts.items()}
+    """Hashed bag-of-words embeddings for every item that has text.
+
+    Each vector is bitwise ``embed_hashed_bow(text, dim)``: every distinct
+    token is hashed once per call, and each bucket's sum of signs is a small
+    integer, exact in any order.
+    """
+    _check_dim(dim)
+    codes = {}  # token -> its index into buckets and signs
+    buckets, signs, token_codes, ends = [], [], [], []
+    for text in corpus.texts.values():
+        for token in _TOKEN_RE.findall(text.lower()):
+            code = codes.get(token)
+            if code is None:
+                code = codes[token] = len(buckets)
+                bucket, sign = _bucket_and_sign(token, dim)
+                buckets.append(bucket)
+                signs.append(sign)
+            token_codes.append(code)
+        ends.append(len(token_codes))
+    n = len(ends)
+    token_codes = np.array(token_codes, dtype=np.intp)
+    rows = np.repeat(np.arange(n), np.diff(np.array(ends, dtype=np.intp), prepend=0))
+    flat = rows * dim + np.array(buckets, dtype=np.intp)[token_codes]
+    counts = np.bincount(flat, weights=np.array(signs)[token_codes], minlength=n * dim)
+    matrix = counts.reshape(n, dim)
+    vectors = {idx: _l2_normalized(row) for idx, row in zip(corpus.texts, matrix)}
     return ItemEmbeddingTable(dim=dim, vectors=vectors)
 
 

@@ -131,23 +131,41 @@ def full_batch_gd(
     )
 
 
-def sgd_sequential_reference(P, Q, users, items, ratings, lr, lam, seed, epochs, loss):
-    """Plain per-interaction MF SGD, in place; returns ``loss()`` after each epoch.
+def sgd_sequential_reference(
+    P, Q, users, items, ratings, lr, lam, seed, epochs, loss, head=None
+):
+    """Per-interaction SGD, in place; returns ``loss()`` after each epoch.
 
     Each epoch visits the interactions in the order
     ``default_rng([seed, epoch]).permutation(n)`` and updates one (P_u, Q_i)
-    pair at a time from their pre-update values.  The package's level-batched
-    step must reproduce this loop bit for bit.
+    pair at a time from their pre-update values.  ``head`` is
+    ``(W, E, alpha, fusion)`` to also train the projection W over the frozen
+    embeddings E with the fused score, one interaction at a time (W is updated
+    in place).  The package's level-batched plain step must reproduce the
+    plain loop bit for bit; its run-batched fused step must match the fused
+    loop to rounding.
     """
+    if head is not None:
+        W, E, alpha, fusion = head
+        cf_w = 1.0 if fusion == "additive" else 1.0 - alpha
+        sem_w = alpha
     losses = []
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
             for idx in np.random.default_rng([seed, epoch]).permutation(len(users)):
                 u, i, y = users[idx], items[idx], ratings[idx]
                 pu, qi = P[u], Q[i]
-                err = pu @ qi - y
-                new_pu = pu - lr * (err * qi + lam * pu)
-                new_qi = qi - lr * (err * pu + lam * qi)
+                if head is None:
+                    err = pu @ qi - y
+                    new_pu = pu - lr * (err * qi + lam * pu)
+                    new_qi = qi - lr * (err * pu + lam * qi)
+                else:
+                    ei = E[i]
+                    v = W @ ei
+                    err = cf_w * (pu @ qi) + sem_w * (pu @ v) - y
+                    new_pu = pu - lr * (err * (cf_w * qi + sem_w * v) + lam * pu)
+                    new_qi = qi - lr * (err * cf_w * pu + lam * qi)
+                    W -= lr * ((sem_w * err) * np.outer(pu, ei) + lam * W)
                 P[u] = new_pu
                 Q[i] = new_qi
             losses.append(loss())

@@ -13,16 +13,24 @@ from rexfuse.mf import (
     FactorModel,
     TrainConfig,
     TrainingDiverged,
+    init_factors,
     loss_gradients,
     loss_regularized,
     predict_mf,
     train_mf,
 )
-from rexfuse.semantic import ItemEmbeddingTable
+from rexfuse.dataset import build_dataset, load_interactions
+from rexfuse.semantic import ItemEmbeddingTable, embed_corpus
 
 from conftest import dense_dataset, random_interactions
-from oracles import central_differences, dot_naive, full_batch_gd, matvec_naive
-from rexfuse.dataset import build_dataset
+from oracles import (
+    central_differences,
+    dot_naive,
+    full_batch_gd,
+    matvec_naive,
+    sgd_sequential_reference,
+)
+from synth import CLASS_KEYWORDS, FILLER_WORDS, write_ml100k_like
 
 
 def make_model(P, Q, W, vectors, alpha, fusion="additive"):
@@ -259,11 +267,135 @@ def test_train_hybrid_deterministic():
     assert la == lb
 
 
-def test_train_hybrid_divergence_raises():
-    ds, table = hybrid_toy_dataset()
-    cfg = TrainConfig(n_factors=3, learning_rate=80.0, epochs=10, seed=2)
-    with pytest.raises(TrainingDiverged, match="epoch"):
+def wide_hybrid_dataset():
+    """20 users x 30 items: long enough runs for the fused step to overflow inside one."""
+    rng = np.random.default_rng(20)
+    rows = [
+        (int(rng.integers(20)), int(rng.integers(30)), float(rng.integers(1, 6)))
+        for _ in range(200)
+    ]
+    table = ItemEmbeddingTable(dim=8, vectors={i: rng.normal(size=8) for i in range(30)})
+    return dense_dataset(rows, 20, 30), table
+
+
+@pytest.mark.parametrize("fusion", ["additive", "convex"])
+@pytest.mark.parametrize("lr", [5.0, 80.0, 1e6, 1e100])
+@pytest.mark.parametrize("data", [hybrid_toy_dataset, wide_hybrid_dataset])
+def test_train_hybrid_divergence_raises(data, lr, fusion):
+    ds, table = data()
+    cfg = TrainConfig(n_factors=3, learning_rate=lr, epochs=10, seed=2)
+    with pytest.raises(TrainingDiverged, match="epoch 1;"):
+        train_hybrid(ds, table, cfg, alpha=0.5, fusion=fusion)
+
+
+def test_train_hybrid_divergence_through_singular_solve_raises(monkeypatch):
+    # Once values overflow, LAPACK's pivoting can meet an exact zero pivot in
+    # the unit lower-triangular run system; that must end in TrainingDiverged.
+    solve, singular = np.linalg.solve, []
+
+    def counting_solve(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(a.shape)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    ds, table = wide_hybrid_dataset()
+    cfg = TrainConfig(n_factors=4, learning_rate=20.0, epochs=10, seed=2)
+    with pytest.raises(TrainingDiverged, match="epoch 1;"):
         train_hybrid(ds, table, cfg, alpha=0.5)
+    assert singular, "this case no longer reaches a singular solve; pick another"
+
+
+# ---------------------------------------------------------------- run-batched fused step
+
+def assert_close(got, expected):
+    """Equal to rounding: within 1e-10 of the reference, relative to its largest entry."""
+    np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
+
+
+def assert_train_hybrid_matches_sequential_reference(ds, table, cfg, alpha, fusion):
+    model, losses = train_hybrid(ds, table, cfg, alpha=alpha, fusion=fusion)
+    rng = np.random.default_rng(cfg.seed)
+    ref = init_factors(ds.n_users, ds.n_items, cfg, rng=rng)
+    W = rng.uniform(-cfg.init_scale, cfg.init_scale, (cfg.n_factors, table.dim))
+    E = table.dense(ds.n_items)
+    t = ds.train
+    ref_losses = sgd_sequential_reference(
+        ref.user_factors, ref.item_factors, t.users, t.items, t.ratings,
+        cfg.learning_rate, cfg.reg, cfg.seed, cfg.epochs,
+        lambda: loss_regularized(
+            ref, t, cfg.reg, projection=W, embeddings=E, alpha=alpha, fusion=fusion
+        ),
+        head=(W, E, alpha, fusion),
+    )
+    assert_close(model.factors.user_factors, ref.user_factors)
+    assert_close(model.factors.item_factors, ref.item_factors)
+    assert_close(model.projection, W)
+    np.testing.assert_allclose(losses, ref_losses, rtol=1e-10)
+
+
+def unit_vectors(rng, items, dim):
+    """Unit-norm embedding rows, as the hashed bag-of-words provider gives."""
+    return {i: v / np.linalg.norm(v) for i in items for v in [rng.normal(size=dim)]}
+
+
+def rows_with_repeats(rng, n_rows, n_users, n_items):
+    rows = [
+        (int(rng.integers(n_users)), int(rng.integers(n_items)), float(rng.integers(1, 6)))
+        for _ in range(n_rows)
+    ]
+    return rows + rows[: n_rows // 4]  # duplicate (user, item) pairs on top of random repeats
+
+
+@pytest.mark.parametrize("fusion, alpha", [("additive", 0.5), ("convex", 0.3), ("convex", 1.0)])
+def test_train_hybrid_matches_sequential_reference_with_repeats(fusion, alpha):
+    rng = np.random.default_rng(12)
+    ds = dense_dataset(rows_with_repeats(rng, 160, 6, 7), 6, 7)
+    table = ItemEmbeddingTable(dim=5, vectors=unit_vectors(rng, range(7), 5))
+    cfg = TrainConfig(n_factors=4, learning_rate=0.05, reg=0.1, epochs=6,
+                      init_scale=0.5, seed=3)
+    assert_train_hybrid_matches_sequential_reference(ds, table, cfg, alpha, fusion)
+
+
+@pytest.mark.parametrize("fusion, alpha", [("additive", 0.5), ("convex", 0.3), ("convex", 1.0)])
+def test_train_hybrid_matches_sequential_reference_with_textless_items(fusion, alpha):
+    # long runs over 40 x 50, and every third item has a zero embedding row
+    rng = np.random.default_rng(13)
+    ds = dense_dataset(rows_with_repeats(rng, 600, 40, 50), 40, 50)
+    textful = [i for i in range(50) if i % 3]
+    table = ItemEmbeddingTable(dim=6, vectors=unit_vectors(rng, textful, 6))
+    cfg = TrainConfig(n_factors=5, learning_rate=0.05, reg=0.1, epochs=5,
+                      init_scale=0.5, seed=4)
+    assert_train_hybrid_matches_sequential_reference(ds, table, cfg, alpha, fusion)
+
+
+def test_train_hybrid_matches_sequential_reference_when_runs_hit_the_cap():
+    # every user and item once per epoch: each epoch is one conflict-free
+    # stretch of 300 visits, cut into runs of 64, 64, 64, 64 and 44
+    rng = np.random.default_rng(14)
+    rows = [(u, int(i), float(rng.integers(1, 6))) for u, i in enumerate(rng.permutation(300))]
+    ds = dense_dataset(rows, 300, 300)
+    table = ItemEmbeddingTable(dim=4, vectors=unit_vectors(rng, range(300), 4))
+    cfg = TrainConfig(n_factors=3, learning_rate=0.05, reg=0.1, epochs=3,
+                      init_scale=0.5, seed=5)
+    assert_train_hybrid_matches_sequential_reference(ds, table, cfg, 0.5, "additive")
+
+
+def test_train_hybrid_matches_sequential_reference_at_ml100k_scale(tmp_path):
+    path = tmp_path / "u.data"
+    write_ml100k_like(str(path))
+    ds = build_dataset(load_interactions(str(path), "movielens100k"), split_seed=42)
+    rng = np.random.default_rng(15)
+    words = FILLER_WORDS + CLASS_KEYWORDS
+    texts = {
+        i: " ".join(rng.choice(words, size=rng.integers(3, 12)))
+        for i in range(ds.n_items) if i % 12  # every twelfth item has no text
+    }
+    table = embed_corpus(ItemTextCorpus(texts=texts), 64)
+    cfg = TrainConfig(n_factors=32, learning_rate=0.02, epochs=1, seed=11)
+    assert_train_hybrid_matches_sequential_reference(ds, table, cfg, 0.5, "additive")
 
 
 def test_train_hybrid_requires_some_embedding():

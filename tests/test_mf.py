@@ -9,6 +9,7 @@ from rexfuse.mf import (
     TrainConfig,
     TrainingDiverged,
     conflict_free_levels,
+    conflict_free_runs,
     init_factors,
     loss_gradients,
     loss_mse,
@@ -245,6 +246,26 @@ def test_conflict_free_levels_properties(pairs):
         assert len({pairs[k][1] for k in members}) == len(members)
     visited = sorted(k for members in by_level.values() for k in members)
     assert visited == list(range(len(pairs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 7)), max_size=80),
+    st.integers(1, 12),
+)
+def test_conflict_free_runs_properties(pairs, cap):
+    users = np.array([u for u, _ in pairs], dtype=np.int64)
+    items = np.array([i for _, i in pairs], dtype=np.int64)
+    bounds = conflict_free_runs(users, items, 6, 8, cap=cap).tolist()
+    assert bounds[0] == 0 and bounds[-1] == len(pairs)  # the runs partition the visits, in order
+    for lo, hi in zip(bounds, bounds[1:]):
+        run = pairs[lo:hi]
+        assert 1 <= len(run) <= cap
+        run_users, run_items = {u for u, _ in run}, {i for _, i in run}
+        assert len(run_users) == len(run) and len(run_items) == len(run)
+        if hi < len(pairs):  # maximal: the next visit repeats a row, or the run is full
+            u, i = pairs[hi]
+            assert len(run) == cap or u in run_users or i in run_items
 
 
 def test_heavy_regularization_shrinks_norms():

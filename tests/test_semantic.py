@@ -73,6 +73,28 @@ def test_embed_corpus_covers_only_items_with_text():
     assert not table.get(3).any()  # empty text keeps a zero row
 
 
+@pytest.mark.parametrize("dim", [1, 7, 64])
+def test_embed_corpus_equals_per_text_embedding_bitwise(dim):
+    rng = np.random.default_rng(21)
+    vocab = [f"w{j}" for j in range(40)] + ["Zoë", "naïve", "A1", "x_y", "42"]
+    texts = {
+        idx: " ".join(rng.choice(vocab, size=rng.integers(0, 30)))
+        for idx in range(0, 120, 2)  # gaps: items without text
+    }
+    texts[3] = "Hello, HELLO! hello..."  # one bucket, several hits
+    texts[5] = "--- ,,, !!!"  # no tokens
+    table = embed_corpus(ItemTextCorpus(texts=texts), dim)
+    assert set(table.vectors) == set(texts)
+    for idx, text in texts.items():
+        assert table.get(idx).tobytes() == embed_hashed_bow(text, dim).tobytes(), text
+
+
+def test_embed_corpus_empty_and_bad_dim():
+    assert len(embed_corpus(ItemTextCorpus(texts={}), 8)) == 0
+    with pytest.raises(ValueError):
+        embed_corpus(ItemTextCorpus(texts={0: "x"}), 0)
+
+
 # ---------------------------------------------------------------- file provider
 
 def write_jsonl(tmp_path, lines):
