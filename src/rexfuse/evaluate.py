@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset import InteractionDataset, RatingTriples
-from .hybrid import HybridModel, train_hybrid
+from .hybrid import HybridModel, resolve_embeddings, train_hybrid
 from .mf import TrainConfig
 
 
@@ -16,14 +16,12 @@ from .mf import TrainConfig
 class EvalConfig:
     """Ranking-evaluation knobs.
 
-    ``top_k`` is the recommendation list length, ``relevance_threshold`` the
-    minimum test rating that counts as a hit, and ``exclude_train`` removes a
-    user's training items from their candidate pool.
+    ``top_k`` is the recommendation list length and ``relevance_threshold``
+    the minimum test rating that counts as a hit.
     """
 
     top_k: int = 10
     relevance_threshold: float = 4.0
-    exclude_train: bool = True
 
     def __post_init__(self):
         if self.top_k < 1:
@@ -56,6 +54,13 @@ class EvalReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def _ranked(items: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k best entries: highest score first, ties to the lower item index."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return np.lexsort((items, -scores))[:k]
+
+
 def topk(model, u: int, k: int, exclude=()) -> list:
     """The k highest-scoring items for user u, skipping ``exclude``.
 
@@ -63,18 +68,12 @@ def topk(model, u: int, k: int, exclude=()) -> list:
     identical lists.  Returns fewer than k items only when the candidate
     pool is smaller.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     mask = np.ones(model.n_items, dtype=bool)
     excluded = np.asarray(list(exclude), dtype=np.int64)
     if excluded.size:
         mask[excluded] = False
     candidates = np.flatnonzero(mask)
-    if candidates.size == 0:
-        return []
-    scores = model.score_items(u, candidates)
-    order = np.lexsort((candidates, -scores))[:k]
-    return candidates[order].tolist()
+    return candidates[_ranked(candidates, model.score_items(u, candidates), k)].tolist()
 
 
 def relevant_items_by_user(test: RatingTriples, threshold: float) -> dict:
@@ -128,7 +127,7 @@ def evaluate_model(
 ) -> EvalReport:
     """Rank for every user with a relevant test item and score the result.
 
-    Produces top-k lists (minus training items when configured), then
+    Produces top-k lists (minus each user's training items), then
     micro-averaged precision/recall, catalog coverage of those lists, and
     RMSE over all test interactions.
     """
@@ -139,7 +138,7 @@ def evaluate_model(
         )
     users = sorted(relevant)
     # every training item counts at a threshold of -inf
-    train_items = relevant_items_by_user(dataset.train, -math.inf) if config.exclude_train else {}
+    train_items = relevant_items_by_user(dataset.train, -math.inf)
 
     recommendations = {
         u: topk(model, u, config.top_k, exclude=train_items.get(u, ())) for u in users
@@ -166,13 +165,17 @@ def sweep_alpha(
     eval_config: EvalConfig = EvalConfig(),
     fusion: str = "additive",
 ) -> list:
-    """Train one hybrid model per fusion weight (same seed) and evaluate each."""
+    """Train one hybrid model per fusion weight (same seed) and evaluate each.
+
+    A text corpus is embedded once and the table shared by every alpha.
+    """
     alphas = list(alphas)
     if not alphas:
         raise ValueError("alphas must be non-empty")
+    table = resolve_embeddings(embeddings_source)
     reports = []
     for alpha in alphas:
-        model, _ = train_hybrid(dataset, embeddings_source, config, alpha, fusion=fusion)
+        model, _ = train_hybrid(dataset, table, config, alpha, fusion=fusion)
         reports.append(evaluate_model(model, dataset, eval_config, alpha=alpha))
     return reports
 
@@ -192,7 +195,7 @@ def recommend_for_user(model, u: int, k: int, item_train_counts, include_cold=Fa
 
     warm = np.flatnonzero(counts > 0)
     items_all = [warm]
-    scores_all = [model.score_items(u, warm)] if warm.size else [np.empty(0)]
+    scores_all = [model.score_items(u, warm)]
     labels = [warm_label] * warm.size
 
     if include_cold:
@@ -208,10 +211,7 @@ def recommend_for_user(model, u: int, k: int, item_train_counts, include_cold=Fa
 
     items = np.concatenate(items_all)
     scores = np.concatenate(scores_all)
-    if items.size == 0:
-        return []
-    order = np.lexsort((items, -scores))[:k]
-    return [(int(items[j]), float(scores[j]), labels[j]) for j in order]
+    return [(int(items[j]), float(scores[j]), labels[j]) for j in _ranked(items, scores, k)]
 
 
 def render_table(reports) -> str:

@@ -14,6 +14,7 @@ from .mf import (
     fusion_weights,
     init_factors,
     loss_regularized,
+    score_pairs,
     sgd_epochs,
 )
 from .semantic import ItemEmbeddingTable, embed_corpus
@@ -71,13 +72,8 @@ class HybridModel:
         return fuse(cf, lambda: self.semantic_scores(u, items), self.alpha, self.fusion)
 
     def predict_pairs(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        cf = self.factors.predict_pairs(users, items)
-        P = self.factors.user_factors
-        return fuse(
-            cf,
-            lambda: np.einsum("ij,ij->i", P[users], self.projected_items()[items]),
-            self.alpha,
-            self.fusion,
+        return score_pairs(
+            self.factors, users, items, self.projected_items(), self.alpha, self.fusion
         )
 
 

@@ -35,14 +35,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.n_factors < 1:
             raise ValueError(f"n_factors must be positive, got {self.n_factors}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.reg < 0:
-            raise ValueError(f"reg must be non-negative, got {self.reg}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if not (math.isfinite(self.reg) and self.reg >= 0):
+            raise ValueError(f"reg must be finite and non-negative, got {self.reg}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be positive, got {self.epochs}")
-        if not self.init_scale >= 0:
-            raise ValueError(f"init_scale must be non-negative, got {self.init_scale}")
+        if not (math.isfinite(self.init_scale) and self.init_scale >= 0):
+            raise ValueError(f"init_scale must be finite and non-negative, got {self.init_scale}")
 
 
 @dataclass
@@ -70,9 +70,7 @@ class FactorModel:
         return self.item_factors[items] @ self.user_factors[u]
 
     def predict_pairs(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        return np.einsum(
-            "ij,ij->i", self.user_factors[users], self.item_factors[items]
-        )
+        return score_pairs(self, users, items)
 
 
 def fusion_weights(alpha: float, fusion: str) -> tuple:
@@ -92,6 +90,20 @@ def fuse(cf, semantic, alpha: float, fusion: str):
     if sem_w == 0.0:
         return cf
     return sem_w * semantic() + cf_w * cf  # semantic's temporaries go first: lower peak RSS
+
+
+def score_pairs(model, users, items, projected=None, alpha=0.0, fusion=FUSION_ADDITIVE):
+    """Score of each (user, item) pair: cf_w * P_u.Q_i + sem_w * P_u.V_i.
+
+    ``projected`` is the whole catalogue already mapped into latent space,
+    V = E @ W.T, so each pair costs two row gathers and two k-wide dot
+    products; without it the score is the plain P_u.Q_i.
+    """
+    pu = model.user_factors[users]
+    cf = np.einsum("ij,ij->i", pu, model.item_factors[items])
+    if projected is None:
+        return cf
+    return fuse(cf, lambda: np.einsum("ij,ij->i", pu, projected[items]), alpha, fusion)
 
 
 def _check_index(idx, n, kind):
@@ -131,24 +143,13 @@ def loss_mse(pairs) -> float:
     return float(np.mean(diff * diff))
 
 
-def _fused_predictions(model, data, projection, embed_matrix, alpha, fusion):
-    """Vectorized predictions over rating triples, plain or fused."""
-    us, its = data.users, data.items
-    cf = model.predict_pairs(us, its)
+def _projected_catalogue(embeddings, projection):
+    """V = E @ W.T for the fused score, or None without a projection."""
     if projection is None:
-        return cf
-
-    def semantic():
-        projected = embed_matrix[its] @ projection.T  # before the user-row gather: lower peak
-        return np.einsum("ij,ij->i", model.user_factors[us], projected)
-
-    return fuse(cf, semantic, alpha, fusion)
-
-
-def _resolve_embed_matrix(embeddings, projection):
-    if embeddings is None and projection is not None:
+        return None
+    if embeddings is None:
         raise ValueError("a projection was given without item embeddings")
-    return None if embeddings is None else np.asarray(embeddings, dtype=np.float64)
+    return embeddings @ projection.T
 
 
 def loss_regularized(
@@ -173,9 +174,8 @@ def loss_regularized(
         raise ValueError(
             f"projection shape {projection.shape} does not match n_factors {model.n_factors}"
         )
-    embed_matrix = _resolve_embed_matrix(embeddings, projection)
-    pred = _fused_predictions(model, data, projection, embed_matrix, alpha, fusion)
-    err = pred - data.ratings
+    V = _projected_catalogue(embeddings, projection)
+    err = score_pairs(model, data.users, data.items, V, alpha, fusion) - data.ratings
     mse = float(np.mean(err * err))
     user_energy = np.sum(model.user_factors**2, axis=1)
     item_energy = np.sum(model.item_factors**2, axis=1)
@@ -203,32 +203,30 @@ def loss_gradients(
     if len(data) == 0:
         raise ValueError("loss_gradients needs at least one interaction")
     P, Q = model.user_factors, model.item_factors
-    us, its, ys = data.users, data.items, data.ratings
-    n = len(data)
-    embed_matrix = _resolve_embed_matrix(embeddings, projection)
-
-    pred = _fused_predictions(model, data, projection, embed_matrix, alpha, fusion)
-    err = pred - ys
+    us, its = data.users, data.items
+    V = _projected_catalogue(embeddings, projection)
+    err = score_pairs(model, us, its, V, alpha, fusion) - data.ratings
     # without a projection the prediction is the plain dot product
     cf_w, sem_w = (1.0, 0.0) if projection is None else fusion_weights(alpha, fusion)
 
     # per-interaction regularization: each row is penalized once per touch
     user_touches = np.bincount(us, minlength=model.n_users)
     item_touches = np.bincount(its, minlength=model.n_items)
-    scale = 2.0 / n
+    scale = 2.0 / len(data)
     grad_P = scale * reg * user_touches[:, None] * P
     grad_Q = scale * reg * item_touches[:, None] * Q
 
     user_dir = cf_w * Q[its]
-    grad_W = None
-    if projection is not None:
-        user_dir = user_dir + sem_w * (embed_matrix[its] @ projection.T)
-        grad_W = 2.0 * reg * projection + scale * sem_w * (
-            (err[:, None] * P[us]).T @ embed_matrix[its]
-        )
+    if V is not None:
+        user_dir += sem_w * V[its]
     np.add.at(grad_P, us, scale * err[:, None] * user_dir)
-    np.add.at(grad_Q, its, scale * cf_w * err[:, None] * P[us])
-    return grad_P, grad_Q, grad_W
+    # per item, the sum of err * P_u over its interactions: drives both Q's and W's gradients
+    item_pull = np.zeros_like(Q)
+    np.add.at(item_pull, its, err[:, None] * P[us])
+    grad_Q += scale * cf_w * item_pull
+    if V is None:
+        return grad_P, grad_Q, None
+    return grad_P, grad_Q, 2.0 * reg * projection + scale * sem_w * (item_pull.T @ embeddings)
 
 
 def epoch_shuffle(seed: int, epoch: int, n: int) -> np.ndarray:

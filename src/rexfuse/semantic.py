@@ -1,6 +1,5 @@
 """Item text embeddings: deterministic hashed bag-of-words and precomputed-file providers."""
 
-import math
 import re
 from dataclasses import dataclass, field
 
@@ -24,26 +23,8 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def _bucket_and_sign(token: str, dim: int) -> tuple:
-    """Bucket (hash mod dim) and sign (+1 when the top hash bit is 0) of one token."""
-    h = fnv1a64(token.encode("utf-8"))
-    return h % dim, (1.0 if h < 1 << 63 else -1.0)
-
-
-def _check_dim(dim):
-    if dim < 1:
-        raise ValueError(f"embedding dim must be >= 1, got {dim}")
-
-
-def _l2_normalized(vec: np.ndarray) -> np.ndarray:
-    norm = math.sqrt(float(vec @ vec))
-    if norm > 0.0:
-        vec /= norm
-    return vec
-
-
 def embed_hashed_bow(text: str, dim: int) -> np.ndarray:
-    """Embed text as a signed, hashed bag-of-words vector.
+    """Embed one text as a signed, hashed bag-of-words vector: ``embed_corpus`` of that text.
 
     Tokens are maximal alphanumeric runs of the lowercased text.  Each token
     hashes with 64-bit FNV-1a to pick a bucket (hash mod dim) and a sign
@@ -51,12 +32,7 @@ def embed_hashed_bow(text: str, dim: int) -> np.ndarray:
     L2-normalized; text with no tokens gives the zero vector.  The result is
     bit-exact across runs and platforms.
     """
-    _check_dim(dim)
-    vec = np.zeros(dim, dtype=np.float64)
-    for token in _TOKEN_RE.findall(text.lower()):
-        bucket, sign = _bucket_and_sign(token, dim)
-        vec[bucket] += sign
-    return _l2_normalized(vec)
+    return embed_corpus(ItemTextCorpus(texts={0: text}), dim).get(0)
 
 
 @dataclass(frozen=True)
@@ -99,11 +75,12 @@ class ItemEmbeddingTable:
 def embed_corpus(corpus: ItemTextCorpus, dim: int) -> ItemEmbeddingTable:
     """Hashed bag-of-words embeddings for every item that has text.
 
-    Each vector is bitwise ``embed_hashed_bow(text, dim)``: every distinct
-    token is hashed once per call, and each bucket's sum of signs is a small
-    integer, exact in any order.
+    This is the one implementation of the rule ``embed_hashed_bow`` states
+    for a single text.  Every distinct token is hashed once per call, and
+    each bucket's sum of signs is a small integer, exact in any order.
     """
-    _check_dim(dim)
+    if dim < 1:
+        raise ValueError(f"embedding dim must be >= 1, got {dim}")
     codes = {}  # token -> its index into buckets and signs
     buckets, signs, token_codes, ends = [], [], [], []
     for text in corpus.texts.values():
@@ -111,9 +88,9 @@ def embed_corpus(corpus: ItemTextCorpus, dim: int) -> ItemEmbeddingTable:
             code = codes.get(token)
             if code is None:
                 code = codes[token] = len(buckets)
-                bucket, sign = _bucket_and_sign(token, dim)
-                buckets.append(bucket)
-                signs.append(sign)
+                h = fnv1a64(token.encode("utf-8"))
+                buckets.append(h % dim)
+                signs.append(1.0 if h < 1 << 63 else -1.0)
             token_codes.append(code)
         ends.append(len(token_codes))
     n = len(ends)
@@ -121,9 +98,12 @@ def embed_corpus(corpus: ItemTextCorpus, dim: int) -> ItemEmbeddingTable:
     rows = np.repeat(np.arange(n), np.diff(np.array(ends, dtype=np.intp), prepend=0))
     flat = rows * dim + np.array(buckets, dtype=np.intp)[token_codes]
     counts = np.bincount(flat, weights=np.array(signs)[token_codes], minlength=n * dim)
-    matrix = counts.reshape(n, dim)
-    vectors = {idx: _l2_normalized(row) for idx, row in zip(corpus.texts, matrix)}
-    return ItemEmbeddingTable(dim=dim, vectors=vectors)
+    # float64 even when no text has a token: bincount then returns integers
+    matrix = counts.astype(np.float64, copy=False).reshape(n, dim)
+    # the squared norm of integer counts is exact in any summation order
+    norms = np.sqrt(np.vecdot(matrix, matrix))
+    matrix /= np.where(norms > 0.0, norms, 1.0)[:, None]
+    return ItemEmbeddingTable(dim=dim, vectors=dict(zip(corpus.texts, matrix)))
 
 
 def load_embeddings_file(path, items: IdIndex) -> ItemEmbeddingTable:

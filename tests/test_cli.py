@@ -156,6 +156,26 @@ def test_recommend_prints_ranked_lines(trained_mf, capsys):
     assert scores == sorted(scores, reverse=True)
 
 
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_recommend_k_below_one_fails(trained_mf, capsys, k):
+    _, model = trained_mf
+    user = load_bundle(model).users.id(0)
+    code = run(["recommend", "--model", model, "--user", user, "--k-at", k])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: k must be >= 1, got {k}\n"
+
+
+def test_train_non_finite_reg_fails_naming_the_field(fusion_files, tmp_path, capsys):
+    data, _ = fusion_files
+    code = run(["train", "--data", data, "--format", "csv", "--mode", "mf",
+                "--reg", "nan", "--out", str(tmp_path / "m.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: reg must be finite and non-negative, got nan\n"
+
+
 def test_recommend_unknown_user_fails(trained_mf, capsys):
     _, model = trained_mf
     code = run(["recommend", "--model", model, "--user", "nobody"])

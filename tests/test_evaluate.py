@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rexfuse.dataset import RatingTriples, build_dataset
+from rexfuse.dataset import ItemTextCorpus, RatingTriples, build_dataset
 from rexfuse.evaluate import (
     EvalConfig,
     EvalReport,
@@ -14,9 +14,9 @@ from rexfuse.evaluate import (
     sweep_alpha,
     topk,
 )
-from rexfuse.hybrid import train_hybrid
+from rexfuse.hybrid import DEFAULT_EMBED_DIM, train_hybrid
 from rexfuse.mf import FactorModel, TrainConfig, loss_mse, train_mf
-from rexfuse.semantic import ItemEmbeddingTable
+from rexfuse.semantic import ItemEmbeddingTable, embed_corpus
 
 from conftest import random_interactions
 from oracles import (
@@ -174,7 +174,7 @@ def test_evaluate_model_report_is_sane():
 
 def test_evaluate_model_excludes_train_items():
     ds, model = trained_small()
-    config = EvalConfig(top_k=5, exclude_train=True)
+    config = EvalConfig(top_k=5)
     train_items = {}
     for u, i in zip(ds.train.users.tolist(), ds.train.items.tolist()):
         train_items.setdefault(u, set()).add(i)
@@ -230,6 +230,28 @@ def test_sweep_alpha_repeated_value_is_deterministic():
     assert first == second
 
 
+def test_sweep_alpha_embeds_a_text_corpus_once(monkeypatch):
+    ds, _ = sweep_fixture()
+    corpus = ItemTextCorpus(texts={i: f"genre{i % 4} tag{i % 7}" for i in range(0, ds.n_items, 2)})
+    cfg = TrainConfig(n_factors=3, epochs=2, seed=5)
+    alphas = [0.0, 0.3, 0.5, 0.7]
+    table = embed_corpus(corpus, DEFAULT_EMBED_DIM)
+    expected = [
+        evaluate_model(train_hybrid(ds, table, cfg, a)[0], ds, EvalConfig(top_k=5), alpha=a)
+        for a in alphas
+    ]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return embed_corpus(*args, **kwargs)
+
+    monkeypatch.setattr("rexfuse.hybrid.embed_corpus", counting)
+    reports = sweep_alpha(ds, corpus, cfg, alphas, EvalConfig(top_k=5))
+    assert len(calls) == 1
+    assert reports == expected
+
+
 def test_sweep_alpha_empty_grid_rejected():
     ds, table = sweep_fixture()
     with pytest.raises(ValueError):
@@ -262,6 +284,14 @@ def test_recommend_include_cold_uses_content_path():
     paths = {item: path for item, _, path in rows}
     for item in np.flatnonzero(counts == 0).tolist():
         assert paths[item] == "cold-start"
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_recommend_rejects_k_below_one(k):
+    ds, table = sweep_fixture()
+    model, _ = train_hybrid(ds, table, TrainConfig(n_factors=3, epochs=1, seed=5), alpha=0.5)
+    with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
+        recommend_for_user(model, 0, k, ds.item_train_counts(), include_cold=True)
 
 
 def test_recommend_mf_model_labels_cf():

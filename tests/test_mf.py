@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,13 @@ def test_config_validation():
         TrainConfig(reg=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
+
+
+@pytest.mark.parametrize("field", ["learning_rate", "reg", "init_scale"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        TrainConfig(**{field: value})
 
 
 def test_init_factors_deterministic_and_shaped():

@@ -147,6 +147,10 @@ def _huge_int_factor(doc):
     doc["user_factors"][0][0] = 10**400
 
 
+def _nan_reg(doc):
+    doc["train_config"]["reg"] = float("nan")
+
+
 @pytest.mark.parametrize(
     "corrupt, field",
     [
@@ -157,10 +161,12 @@ def _huge_int_factor(doc):
         (_drop_user_factors, "user_factors"),
         (_non_numeric_factor, "item_factors"),
         (_huge_int_factor, "user_factors"),
+        (_nan_reg, "train_config"),
     ],
     ids=[
         "short-item-counts", "fractional-item-count", "negative-item-count",
         "missing-user-ids", "missing-key", "non-numeric-factor", "huge-int-factor",
+        "nan-reg",
     ],
 )
 def test_malformed_field_rejected_naming_file_and_field(tmp_path, corrupt, field):

@@ -13,6 +13,7 @@ from rexfuse.semantic import (
     project,
 )
 
+from make_hashed_bow_golden import embed as embed_reference
 from oracles import dot_naive, matvec_naive
 
 GOLDEN = Path(__file__).parent / "data" / "hashed_bow_golden.json"
@@ -86,7 +87,16 @@ def test_embed_corpus_equals_per_text_embedding_bitwise(dim):
     table = embed_corpus(ItemTextCorpus(texts=texts), dim)
     assert set(table.vectors) == set(texts)
     for idx, text in texts.items():
-        assert table.get(idx).tobytes() == embed_hashed_bow(text, dim).tobytes(), text
+        want = np.array(embed_reference(text, dim), dtype=np.float64).tobytes()
+        assert table.get(idx).tobytes() == want, text
+        assert embed_hashed_bow(text, dim).tobytes() == want, text
+
+
+def test_embed_corpus_without_any_token_gives_float_zero_rows():
+    table = embed_corpus(ItemTextCorpus(texts={0: "", 2: "!!"}), 8)
+    for idx in (0, 2):
+        assert table.get(idx).dtype == np.float64
+        assert not table.get(idx).any()
 
 
 def test_embed_corpus_empty_and_bad_dim():
