@@ -5,7 +5,7 @@ import json
 import os
 import sys
 
-from .dataset import build_dataset, load_interactions, load_item_text
+from .dataset import build_dataset, load_interactions, load_item_text, require_int
 from .evaluate import EvalConfig, evaluate_model, recommend_for_user, render_table, sweep_alpha
 from .hybrid import DEFAULT_EMBED_DIM, train_hybrid
 from .mf import TrainConfig, train_mf
@@ -21,15 +21,14 @@ class CliError(Exception):
 
 
 def _resolve_seed(flag_value):
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
+    """--seed, else $REXFUSE_SEED, else the default; a non-negative integer."""
+    name, raw = "--seed", flag_value
+    if raw is None:
+        name, raw = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, DEFAULT_SEED)
+    try:
+        return require_int(name, int(raw), 0)
+    except ValueError:
+        raise CliError(f"{name} must be a non-negative integer, got {raw!r}") from None
 
 
 def _embedding_source(args, items, requirement):
@@ -268,8 +267,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError, RuntimeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CliError, ValueError, OSError, RuntimeError, KeyError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -211,6 +211,14 @@ def load_interactions(path, format: str = "movielens100k") -> list:
     return interactions
 
 
+def require_int(name: str, value, low: int):
+    """``value`` if it is an integer >= ``low`` (0 or 1); else a one-line ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        kind = "positive" if low == 1 else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+    return value
+
+
 def split_sizes(n: int) -> tuple:
     """Train/validation/test sizes: floor(0.70 n), floor(0.85 n) - floor(0.70 n), rest.
 
@@ -228,6 +236,7 @@ def build_dataset(interactions, split_seed: int) -> InteractionDataset:
     split applies a deterministic random permutation seeded by ``split_seed``
     before cutting.  Identical inputs and seed give identical datasets.
     """
+    require_int("split_seed", split_seed, 0)
     n = len(interactions)
     if n < 3:
         raise ValueError(f"need at least 3 interactions to split, got {n}")

@@ -66,14 +66,16 @@ def topk(model, u: int, k: int, exclude=()) -> list:
 
     Ties break toward the lower item index, so identical scores always give
     identical lists.  Returns fewer than k items only when the candidate
-    pool is smaller.
+    pool is smaller.  The user's whole catalogue row is scored once and the
+    candidates are picked from it by mask.
     """
     mask = np.ones(model.n_items, dtype=bool)
     excluded = np.asarray(list(exclude), dtype=np.int64)
     if excluded.size:
         mask[excluded] = False
     candidates = np.flatnonzero(mask)
-    return candidates[_ranked(candidates, model.score_items(u, candidates), k)].tolist()
+    scores = model.score_items(u, slice(None))[mask]
+    return candidates[_ranked(candidates, scores, k)].tolist()
 
 
 def relevant_items_by_user(test: RatingTriples, threshold: float) -> dict:
@@ -189,29 +191,15 @@ def recommend_for_user(model, u: int, k: int, item_train_counts, include_cold=Fa
     the pure content path.  Path labels: "cf" for factor-only models,
     "cf+semantic" for hybrid warm scores, "cold-start" for the content path.
     """
-    counts = np.asarray(item_train_counts)
+    warm = np.asarray(item_train_counts) > 0
     is_hybrid = isinstance(model, HybridModel)
-    warm_label = "cf+semantic" if is_hybrid else "cf"
-
-    warm = np.flatnonzero(counts > 0)
-    items_all = [warm]
-    scores_all = [model.score_items(u, warm)]
-    labels = [warm_label] * warm.size
-
-    if include_cold:
-        cold = np.flatnonzero(counts == 0)
-        if cold.size:
-            items_all.append(cold)
-            if is_hybrid:
-                scores_all.append(model.semantic_scores(u, cold))
-                labels.extend(["cold-start"] * cold.size)
-            else:
-                scores_all.append(model.score_items(u, cold))
-                labels.extend([warm_label] * cold.size)
-
-    items = np.concatenate(items_all)
-    scores = np.concatenate(scores_all)
-    return [(int(items[j]), float(scores[j]), labels[j]) for j in _ranked(items, scores, k)]
+    scores = model.score_items(u, slice(None))
+    if is_hybrid and include_cold:
+        scores = np.where(warm, scores, model.semantic_scores(u, slice(None)))
+    items = np.flatnonzero(warm | include_cold)
+    ranked = items[_ranked(items, scores[items], k)]
+    warm_label, cold_label = ("cf+semantic", "cold-start") if is_hybrid else ("cf", "cf")
+    return [(int(i), float(scores[i]), warm_label if warm[i] else cold_label) for i in ranked]
 
 
 def render_table(reports) -> str:

@@ -10,7 +10,7 @@ from .mf import (
     FactorModel,
     TrainConfig,
     _check_index,
-    fuse,
+    _projected_catalogue,
     fusion_weights,
     init_factors,
     loss_regularized,
@@ -60,16 +60,19 @@ class HybridModel:
         """(n_items, n_factors) matrix of projected embeddings, zero for items without one."""
         if self._projected is None:
             dense = self.embeddings.dense(self.n_items)
-            self._projected = dense @ self.projection.T
+            self._projected = _projected_catalogue(dense, self.projection)
         return self._projected
 
     def semantic_scores(self, u: int, items: np.ndarray) -> np.ndarray:
+        """Semantic term P_u.V_i alone: the factor score against the projected catalogue."""
         _check_index(u, self.n_users, "user")
-        return self.projected_items()[items] @ self.factors.user_factors[u]
+        semantic = FactorModel(self.factors.user_factors, self.projected_items())
+        return score_pairs(semantic, u, items)
 
     def score_items(self, u: int, items: np.ndarray) -> np.ndarray:
-        cf = self.factors.score_items(u, items)
-        return fuse(cf, lambda: self.semantic_scores(u, items), self.alpha, self.fusion)
+        """Fused scores for one user against item indices, or ``slice(None)`` for the catalogue."""
+        _check_index(u, self.n_users, "user")
+        return self.predict_pairs(u, items)
 
     def predict_pairs(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         return score_pairs(

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import InteractionDataset, RatingTriples
+from .dataset import InteractionDataset, RatingTriples, require_int
 
 FUSION_ADDITIVE = "additive"
 FUSION_CONVEX = "convex"
@@ -33,14 +33,13 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.n_factors < 1:
-            raise ValueError(f"n_factors must be positive, got {self.n_factors}")
+        require_int("n_factors", self.n_factors, 1)
+        require_int("epochs", self.epochs, 1)
+        require_int("seed", self.seed, 0)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if not (math.isfinite(self.reg) and self.reg >= 0):
             raise ValueError(f"reg must be finite and non-negative, got {self.reg}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be positive, got {self.epochs}")
         if not (math.isfinite(self.init_scale) and self.init_scale >= 0):
             raise ValueError(f"init_scale must be finite and non-negative, got {self.init_scale}")
 
@@ -65,9 +64,9 @@ class FactorModel:
         return self.user_factors.shape[1]
 
     def score_items(self, u: int, items: np.ndarray) -> np.ndarray:
-        """Scores for one user against an array of item indices."""
+        """Scores for one user against item indices, or ``slice(None)`` for the catalogue."""
         _check_index(u, self.n_users, "user")
-        return self.item_factors[items] @ self.user_factors[u]
+        return score_pairs(self, u, items)
 
     def predict_pairs(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         return score_pairs(self, users, items)
@@ -84,26 +83,26 @@ def fusion_weights(alpha: float, fusion: str) -> tuple:
     raise ValueError(f"unknown fusion mode {fusion!r}")
 
 
-def fuse(cf, semantic, alpha: float, fusion: str):
-    """Fused score; at alpha=0 it is ``cf`` itself and the ``semantic`` thunk is not called."""
-    cf_w, sem_w = fusion_weights(alpha, fusion)
-    if sem_w == 0.0:
-        return cf
-    return sem_w * semantic() + cf_w * cf  # semantic's temporaries go first: lower peak RSS
-
-
 def score_pairs(model, users, items, projected=None, alpha=0.0, fusion=FUSION_ADDITIVE):
     """Score of each (user, item) pair: cf_w * P_u.Q_i + sem_w * P_u.V_i.
 
-    ``projected`` is the whole catalogue already mapped into latent space,
-    V = E @ W.T, so each pair costs two row gathers and two k-wide dot
-    products; without it the score is the plain P_u.Q_i.
+    This is the only scorer: pair lists, catalogue rows and cold-start scores
+    all come from it.  ``users`` may be one index, which broadcasts against
+    ``items``.  Each score is a row-wise ``einsum`` dot product, so a pair
+    gets the same bits whatever else is scored with it, where a BLAS
+    matrix-vector product would round by batch and position.  ``projected``
+    is the catalogue mapped into latent space, V = E @ W.T; without it, or
+    when sem_w is 0, the score is the plain P_u.Q_i.
     """
     pu = model.user_factors[users]
-    cf = np.einsum("ij,ij->i", pu, model.item_factors[items])
+    cf = np.einsum("...j,...j->...", pu, model.item_factors[items])
     if projected is None:
         return cf
-    return fuse(cf, lambda: np.einsum("ij,ij->i", pu, projected[items]), alpha, fusion)
+    cf_w, sem_w = fusion_weights(alpha, fusion)
+    if sem_w == 0.0:
+        return cf
+    # the semantic temporaries go first: lower peak RSS
+    return sem_w * np.einsum("...j,...j->...", pu, projected[items]) + cf_w * cf
 
 
 def _check_index(idx, n, kind):

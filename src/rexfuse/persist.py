@@ -100,7 +100,7 @@ def load_bundle(path) -> ModelBundle:
 
     def integer(name, low):
         value = need(name)
-        if not isinstance(value, int) or value < low:
+        if type(value) is not int or value < low:  # JSON true/false are not integers
             raise bad(name, f"must be an integer >= {low}, got {value!r}")
         return value
 

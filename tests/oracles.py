@@ -205,3 +205,32 @@ def coverage_bruteforce(recommendations, n_items):
         for item in rec:
             distinct.add(item)
     return len(distinct) / n_items
+
+
+def recommend_bruteforce(P, Q, u, k, counts, include_cold=False, head=None):
+    """(item, score, label) rows for one user, every item scored by explicit loops.
+
+    ``head`` is ``(W, E, alpha, fusion)`` for a hybrid model, with E dense
+    (a zero row for an item without an embedding).  Warm items (count > 0)
+    take the fused score; items with count 0 appear only with
+    ``include_cold``, scored by the semantic term alone for a hybrid model
+    and by the factor score otherwise.  Rows sort by (-score, item).
+    """
+    rows = []
+    for i in range(len(Q)):
+        warm = counts[i] > 0
+        if not (warm or include_cold):
+            continue
+        cf = dot_naive(P[u], Q[i])
+        if head is None:
+            rows.append((i, cf, "cf"))
+            continue
+        W, E, alpha, fusion = head
+        sem = dot_naive(P[u], matvec_naive(W, E[i]))
+        if not warm:
+            rows.append((i, sem, "cold-start"))
+            continue
+        cf_w = 1.0 if fusion == "additive" else 1.0 - alpha
+        rows.append((i, cf_w * cf + alpha * sem, "cf+semantic"))
+    rows.sort(key=lambda row: (-row[1], row[0]))
+    return rows[:k]

@@ -93,6 +93,52 @@ def test_seed_env_var_is_default_and_flag_wins(fusion_files, tmp_path, capsys, m
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_negative_seed_flag_rejected_naming_the_flag(fusion_files, tmp_path, capsys, command):
+    data, text = fusion_files
+    extra = ["--mode", "mf", "--out", str(tmp_path / "m.json")]
+    if command == "sweep":
+        extra = ["--item-text", text, "--alphas", "0.5"]
+    code = run([command, "--data", data, "--format", "csv", "--epochs", "1",
+                "--seed", "-1", *extra])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
+
+
+@pytest.mark.parametrize("value", ["-1", "abc", "1.5"])
+def test_bad_seed_env_var_rejected_naming_the_variable(fusion_files, tmp_path, capsys,
+                                                       monkeypatch, value):
+    data, _ = fusion_files
+    monkeypatch.setenv("REXFUSE_SEED", value)
+    code = run(["train", "--data", data, "--format", "csv", "--mode", "mf",
+                "--epochs", "1", "--out", str(tmp_path / "m.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: REXFUSE_SEED must be a non-negative integer, got {value!r}\n"
+
+
+ALLOC_FAILURE = "Unable to allocate 17.9 GiB for an array with shape (24, 100000000)"
+
+
+@pytest.mark.parametrize(
+    "message, printed",
+    [(ALLOC_FAILURE, ALLOC_FAILURE), ("", "MemoryError")],
+    ids=["numpy-message", "no-message"],
+)
+def test_memory_error_is_one_line(fusion_files, tmp_path, capsys, monkeypatch, message, printed):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("rexfuse.mf.init_factors", out_of_memory)
+    data, _ = fusion_files
+    code = run(["train", "--data", data, "--format", "csv", "--mode", "mf",
+                "--epochs", "1", "--out", str(tmp_path / "m.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: {printed}\n"
+
+
 # ---------------------------------------------------------------- evaluate
 
 @pytest.fixture

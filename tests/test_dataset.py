@@ -126,6 +126,13 @@ def test_build_dataset_requires_three():
         build_dataset(inters, split_seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+def test_build_dataset_rejects_bad_split_seed(seed):
+    inters = [Interaction("u", x, 1.0) for x in "ijk"]
+    with pytest.raises(ValueError, match=f"^split_seed must be a non-negative integer, got {seed!r}$"):
+        build_dataset(inters, split_seed=seed)
+
+
 def test_build_dataset_partitions_the_input():
     rng = np.random.default_rng(0)
     inters = random_interactions(rng, 57)

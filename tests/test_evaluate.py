@@ -14,14 +14,22 @@ from rexfuse.evaluate import (
     sweep_alpha,
     topk,
 )
-from rexfuse.hybrid import DEFAULT_EMBED_DIM, train_hybrid
-from rexfuse.mf import FactorModel, TrainConfig, loss_mse, train_mf
+from rexfuse.hybrid import (
+    DEFAULT_EMBED_DIM,
+    HybridModel,
+    predict_cold_start,
+    predict_hybrid,
+    semantic_score,
+    train_hybrid,
+)
+from rexfuse.mf import FactorModel, TrainConfig, loss_mse, predict_mf, score_pairs, train_mf
 from rexfuse.semantic import ItemEmbeddingTable, embed_corpus
 
 from conftest import random_interactions
 from oracles import (
     coverage_bruteforce,
     precision_recall_bruteforce,
+    recommend_bruteforce,
     rmse_naive,
     topk_bruteforce,
 )
@@ -299,6 +307,104 @@ def test_recommend_mf_model_labels_cf():
     model, _ = train_mf(ds, TrainConfig(n_factors=3, epochs=3, seed=5))
     rows = recommend_for_user(model, 0, 5, ds.item_train_counts())
     assert rows and all(path == "cf" for _, _, path in rows)
+
+
+def random_scoring_models(n_users, n_items, k, dim, seed):
+    """(P, Q, W, table, counts) drawn at random, plus the MF and hybrid models over them.
+
+    Every fifth item has no embedding; items 1 and 2 are identical and warm,
+    so they tie exactly under every model.
+    """
+    rng = np.random.default_rng(seed)
+    P = rng.uniform(-1, 1, (n_users, k))
+    Q = rng.uniform(-1, 1, (n_items, k))
+    W = rng.uniform(-1, 1, (k, dim))
+    vectors = {i: rng.normal(size=dim) for i in range(n_items) if i % 5}
+    Q[2], vectors[2] = Q[1], vectors[1].copy()
+    counts = rng.integers(0, 3, n_items)
+    counts[1] = counts[2] = 1
+    table = ItemEmbeddingTable(dim, vectors)
+    models = {"mf": FactorModel(P, Q)}
+    for fusion, alpha in [("additive", 0.5), ("convex", 0.3), ("additive", 0.0)]:
+        models[f"{fusion}-{alpha}"] = HybridModel(FactorModel(P, Q), W, table, alpha, fusion)
+    return (P, Q, W, table, counts), models
+
+
+@pytest.mark.parametrize("kind", ["mf", "additive-0.5", "convex-0.3"])
+@pytest.mark.parametrize("include_cold", [False, True])
+@pytest.mark.parametrize("k", [5, 100])
+def test_recommend_matches_bruteforce_oracle(kind, include_cold, k):
+    (P, Q, W, table, counts), models = random_scoring_models(6, 40, 6, 8, seed=21)
+    model = models[kind]
+    head = None if kind == "mf" else (W, table.dense(len(Q)), model.alpha, model.fusion)
+    pool = int(np.sum(counts > 0)) if not include_cold else len(Q)
+    for u in range(len(P)):
+        got = recommend_for_user(model, u, k, counts, include_cold=include_cold)
+        expected = recommend_bruteforce(P, Q, u, k, counts, include_cold, head)
+        assert len(got) == min(k, pool)
+        assert [(i, label) for i, _, label in got] == [(i, label) for i, _, label in expected]
+        assert [s for _, s, _ in got] == pytest.approx(
+            [s for _, s, _ in expected], rel=1e-12, abs=1e-15
+        )
+        if k > pool:  # the whole pool is listed: the forced tie breaks to the lower index
+            ranked = [i for i, _, _ in got]
+            assert ranked.index(2) == ranked.index(1) + 1
+
+
+class RecordingScorer:
+    """Passes ``score_items`` through to a model and keeps what it returned."""
+
+    def __init__(self, model):
+        self.model, self.n_items, self.seen = model, model.n_items, []
+
+    def score_items(self, u, items):
+        scores = self.model.score_items(u, items)
+        self.seen.append((np.arange(self.n_items)[items], scores))
+        return scores
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("kind", ["mf", "additive-0.5", "convex-0.3", "additive-0.0"])
+def test_every_score_is_its_pair_score_bitwise(kind):
+    """Rankings, recommend rows and scalar predictions reuse ``predict_pairs``' bits."""
+    (P, Q, W, table, counts), models = random_scoring_models(7, 240, 32, 16, seed=5)
+    model = models[kind]
+    n = len(Q)
+    every = np.arange(n)
+    rng = np.random.default_rng(8)
+    probe = rng.choice(n, 25, replace=False).tolist()
+    # the semantic term P_u.V_i, scored the way score_pairs scores P_u.Q_i
+    semantic_model = None if kind == "mf" else FactorModel(P, model.projected_items())
+    semantic = None
+    for u in range(len(P)):
+        pairs = model.predict_pairs(np.full(n, u), every)
+        if semantic_model is not None:
+            semantic = score_pairs(semantic_model, np.full(n, u), every)
+        for exclude in [(), rng.choice(n, n // 3, replace=False).tolist(), range(3, n)]:
+            scorer = RecordingScorer(model)
+            got = topk(scorer, u, 10, exclude=exclude)
+            assert got == topk_bruteforce(lambda i: pairs[i], n, 10, exclude)
+            for items, scores in scorer.seen:
+                assert np.array_equal(bits(scores), bits(pairs[items]))
+        for include_cold in (False, True):
+            rows = recommend_for_user(model, u, n, counts, include_cold=include_cold)
+            items = np.array([i for i, _, _ in rows])
+            cold = np.array([label == "cold-start" for _, _, label in rows])
+            expected = pairs[items]
+            if semantic is not None:
+                expected = np.where(cold, semantic[items], expected)
+            assert np.array_equal(bits([s for _, s, _ in rows]), bits(expected))
+        for i in probe:
+            if kind == "mf":
+                assert bits(predict_mf(model, u, i)) == bits(pairs[i])
+                continue
+            assert bits(predict_hybrid(model, u, i)) == bits(pairs[i])
+            assert bits(semantic_score(model, u, i)) == bits(semantic[i])
+            if i in table:
+                assert bits(predict_cold_start(model, u, i)) == bits(semantic[i])
 
 
 # ---------------------------------------------------------------- reporting

@@ -50,6 +50,28 @@ def test_config_validation():
         TrainConfig(epochs=0)
 
 
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [
+        ("seed", -1, "non-negative"),
+        ("seed", 1.5, "non-negative"),
+        ("seed", True, "non-negative"),
+        ("n_factors", 2.5, "positive"),
+        ("n_factors", 0, "positive"),
+        ("epochs", 2.5, "positive"),
+        ("epochs", "3", "positive"),
+    ],
+)
+def test_config_integer_fields_rejected_naming_the_field(field, value, kind):
+    with pytest.raises(ValueError, match=f"^{field} must be a {kind} integer, got {value!r}$"):
+        TrainConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = TrainConfig(n_factors=np.int64(4), epochs=np.int32(2), seed=np.uint8(0))
+    assert (cfg.n_factors, cfg.epochs, cfg.seed) == (4, 2, 0)
+
+
 @pytest.mark.parametrize("field", ["learning_rate", "reg", "init_scale"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_naming_the_field(field, value):

@@ -151,6 +151,14 @@ def _nan_reg(doc):
     doc["train_config"]["reg"] = float("nan")
 
 
+def _negative_seed(doc):
+    doc["train_config"]["seed"] = -1
+
+
+def _boolean_split_seed(doc):
+    doc["split_seed"] = True
+
+
 @pytest.mark.parametrize(
     "corrupt, field",
     [
@@ -162,11 +170,13 @@ def _nan_reg(doc):
         (_non_numeric_factor, "item_factors"),
         (_huge_int_factor, "user_factors"),
         (_nan_reg, "train_config"),
+        (_negative_seed, "train_config"),
+        (_boolean_split_seed, "split_seed"),
     ],
     ids=[
         "short-item-counts", "fractional-item-count", "negative-item-count",
         "missing-user-ids", "missing-key", "non-numeric-factor", "huge-int-factor",
-        "nan-reg",
+        "nan-reg", "negative-seed", "boolean-split-seed",
     ],
 )
 def test_malformed_field_rejected_naming_file_and_field(tmp_path, corrupt, field):
@@ -181,3 +191,5 @@ def test_malformed_field_rejected_naming_file_and_field(tmp_path, corrupt, field
     message = str(info.value)
     assert str(path) in message and repr(field) in message
     assert "\n" not in message
+    if corrupt is _negative_seed:
+        assert "seed must be a non-negative integer, got -1" in message
