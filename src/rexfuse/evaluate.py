@@ -9,7 +9,7 @@ import numpy as np
 
 from .dataset import InteractionDataset, RatingTriples
 from .hybrid import HybridModel, resolve_embeddings, train_hybrid
-from .mf import TrainConfig
+from .mf import TrainConfig, _check_index
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,8 @@ def topk(model, u: int, k: int, exclude=()) -> list:
     """
     mask = np.ones(model.n_items, dtype=bool)
     excluded = np.asarray(list(exclude), dtype=np.int64)
-    if excluded.size:
-        mask[excluded] = False
+    _check_index(excluded, model.n_items, "item")
+    mask[excluded] = False
     candidates = np.flatnonzero(mask)
     scores = model.score_items(u, slice(None))[mask]
     return candidates[_ranked(candidates, scores, k)].tolist()

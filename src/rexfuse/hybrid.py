@@ -11,10 +11,10 @@ from .mf import (
     TrainConfig,
     _check_index,
     _projected_catalogue,
+    fused_factors,
     fusion_weights,
     init_factors,
     loss_regularized,
-    score_pairs,
     sgd_epochs,
 )
 from .semantic import ItemEmbeddingTable, embed_corpus
@@ -31,6 +31,9 @@ class HybridModel:
     default additive fusion the full score is the collaborative dot product
     plus ``alpha`` times that scalar; the convex mode blends the two sides as
     (1 - alpha) * cf + alpha * semantic instead.
+
+    Both scores are factor scores, built once when the model is made: ``fused``
+    by ``fused_factors``, ``semantic`` = (P, V) with V = E @ projection.T.
     """
 
     factors: FactorModel
@@ -38,7 +41,8 @@ class HybridModel:
     embeddings: ItemEmbeddingTable
     alpha: float
     fusion: str = FUSION_ADDITIVE
-    _projected: np.ndarray = field(default=None, repr=False, compare=False)
+    fused: FactorModel = field(init=False, repr=False, compare=False)
+    semantic: FactorModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         expected = (self.factors.n_factors, self.embeddings.dim)
@@ -46,7 +50,9 @@ class HybridModel:
             raise ValueError(
                 f"projection shape {self.projection.shape} does not match {expected}"
             )
-        fusion_weights(self.alpha, self.fusion)
+        V = _projected_catalogue(self.embeddings.dense(self.n_items), self.projection)
+        self.fused = fused_factors(self.factors, V, self.alpha, self.fusion)
+        self.semantic = FactorModel(self.factors.user_factors, V)
 
     @property
     def n_users(self) -> int:
@@ -58,37 +64,27 @@ class HybridModel:
 
     def projected_items(self) -> np.ndarray:
         """(n_items, n_factors) matrix of projected embeddings, zero for items without one."""
-        if self._projected is None:
-            dense = self.embeddings.dense(self.n_items)
-            self._projected = _projected_catalogue(dense, self.projection)
-        return self._projected
+        return self.semantic.item_factors
 
     def semantic_scores(self, u: int, items: np.ndarray) -> np.ndarray:
         """Semantic term P_u.V_i alone: the factor score against the projected catalogue."""
-        _check_index(u, self.n_users, "user")
-        semantic = FactorModel(self.factors.user_factors, self.projected_items())
-        return score_pairs(semantic, u, items)
+        return self.semantic.score_items(u, items)
 
     def score_items(self, u: int, items: np.ndarray) -> np.ndarray:
         """Fused scores for one user against item indices, or ``slice(None)`` for the catalogue."""
-        _check_index(u, self.n_users, "user")
-        return self.predict_pairs(u, items)
+        return self.fused.score_items(u, items)
 
     def predict_pairs(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        return score_pairs(
-            self.factors, users, items, self.projected_items(), self.alpha, self.fusion
-        )
+        return self.fused.predict_pairs(users, items)
 
 
 def semantic_score(model: HybridModel, u: int, i: int) -> float:
     """User affinity to the projected item embedding; 0 for items without one."""
-    _check_index(i, model.n_items, "item")
     return float(model.semantic_scores(u, [i])[0])
 
 
 def predict_hybrid(model: HybridModel, u: int, i: int) -> float:
     """Fused score; at alpha=0 this is exactly the factor prediction."""
-    _check_index(i, model.n_items, "item")
     return float(model.score_items(u, [i])[0])
 
 

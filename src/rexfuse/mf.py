@@ -66,6 +66,8 @@ class FactorModel:
     def score_items(self, u: int, items: np.ndarray) -> np.ndarray:
         """Scores for one user against item indices, or ``slice(None)`` for the catalogue."""
         _check_index(u, self.n_users, "user")
+        if not isinstance(items, slice):
+            _check_index(items, self.n_items, "item")
         return score_pairs(self, u, items)
 
     def predict_pairs(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
@@ -83,31 +85,37 @@ def fusion_weights(alpha: float, fusion: str) -> tuple:
     raise ValueError(f"unknown fusion mode {fusion!r}")
 
 
-def score_pairs(model, users, items, projected=None, alpha=0.0, fusion=FUSION_ADDITIVE):
-    """Score of each (user, item) pair: cf_w * P_u.Q_i + sem_w * P_u.V_i.
+def fused_factors(model: FactorModel, V, alpha: float, fusion: str) -> FactorModel:
+    """The factor model (P, cf_w * Q + sem_w * V) of the fused score, V = E @ W.T.
 
-    This is the only scorer: pair lists, catalogue rows and cold-start scores
-    all come from it.  ``users`` may be one index, which broadcasts against
-    ``items``.  Each score is a row-wise ``einsum`` dot product, so a pair
-    gets the same bits whatever else is scored with it, where a BLAS
-    matrix-vector product would round by batch and position.  ``projected``
-    is the catalogue mapped into latent space, V = E @ W.T; without it, or
-    when sem_w is 0, the score is the plain P_u.Q_i.
+    cf_w * P_u.Q_i + sem_w * P_u.V_i is the one dot product P_u.(cf_w * Q_i + sem_w * V_i).
+    Without ``V``, or when sem_w is 0, this is ``model`` itself: its scores keep their bits.
     """
-    pu = model.user_factors[users]
-    cf = np.einsum("...j,...j->...", pu, model.item_factors[items])
-    if projected is None:
-        return cf
     cf_w, sem_w = fusion_weights(alpha, fusion)
-    if sem_w == 0.0:
-        return cf
-    # the semantic temporaries go first: lower peak RSS
-    return sem_w * np.einsum("...j,...j->...", pu, projected[items]) + cf_w * cf
+    if V is None or sem_w == 0.0:
+        return model
+    return FactorModel(model.user_factors, cf_w * model.item_factors + sem_w * V)
+
+
+def score_pairs(model: FactorModel, users, items) -> np.ndarray:
+    """Score of each (user, item) pair: the dot product P_u.Q_i.
+
+    This is the only scorer: pair lists, catalogue rows, fused scores (through
+    ``fused_factors``) and cold-start scores all come from it.  ``users`` may
+    be one index, which broadcasts against ``items``.  Each score is a
+    row-wise ``einsum`` dot product, so a pair gets the same bits whatever
+    else is scored with it, where a BLAS matrix-vector product would round by
+    batch and position.
+    """
+    return np.einsum("...j,...j->...", model.user_factors[users], model.item_factors[items])
 
 
 def _check_index(idx, n, kind):
-    if not 0 <= idx < n:
-        raise IndexError(f"{kind} index {idx} out of range [0, {n})")
+    """Raise a one-line IndexError naming the first of ``idx`` (index or array) outside [0, n)."""
+    outside = np.asarray(idx)
+    outside = outside[(outside < 0) | (outside >= n)]
+    if outside.size:
+        raise IndexError(f"{kind} index {outside.flat[0]} out of range [0, {n})")
 
 
 def init_factors(n_users: int, n_items: int, config: TrainConfig, rng=None) -> FactorModel:
@@ -129,7 +137,6 @@ def init_factors(n_users: int, n_items: int, config: TrainConfig, rng=None) -> F
 
 def predict_mf(model: FactorModel, u: int, i: int) -> float:
     """Dot product of user and item factors."""
-    _check_index(i, model.n_items, "item")
     return float(model.score_items(u, [i])[0])
 
 
@@ -173,8 +180,8 @@ def loss_regularized(
         raise ValueError(
             f"projection shape {projection.shape} does not match n_factors {model.n_factors}"
         )
-    V = _projected_catalogue(embeddings, projection)
-    err = score_pairs(model, data.users, data.items, V, alpha, fusion) - data.ratings
+    fused = fused_factors(model, _projected_catalogue(embeddings, projection), alpha, fusion)
+    err = score_pairs(fused, data.users, data.items) - data.ratings
     mse = float(np.mean(err * err))
     user_energy = np.sum(model.user_factors**2, axis=1)
     item_energy = np.sum(model.item_factors**2, axis=1)
@@ -203,8 +210,8 @@ def loss_gradients(
         raise ValueError("loss_gradients needs at least one interaction")
     P, Q = model.user_factors, model.item_factors
     us, its = data.users, data.items
-    V = _projected_catalogue(embeddings, projection)
-    err = score_pairs(model, us, its, V, alpha, fusion) - data.ratings
+    fused = fused_factors(model, _projected_catalogue(embeddings, projection), alpha, fusion)
+    err = score_pairs(fused, us, its) - data.ratings
     # without a projection the prediction is the plain dot product
     cf_w, sem_w = (1.0, 0.0) if projection is None else fusion_weights(alpha, fusion)
 
@@ -215,15 +222,12 @@ def loss_gradients(
     grad_P = scale * reg * user_touches[:, None] * P
     grad_Q = scale * reg * item_touches[:, None] * Q
 
-    user_dir = cf_w * Q[its]
-    if V is not None:
-        user_dir += sem_w * V[its]
-    np.add.at(grad_P, us, scale * err[:, None] * user_dir)
+    np.add.at(grad_P, us, scale * err[:, None] * fused.item_factors[its])
     # per item, the sum of err * P_u over its interactions: drives both Q's and W's gradients
     item_pull = np.zeros_like(Q)
     np.add.at(item_pull, its, err[:, None] * P[us])
     grad_Q += scale * cf_w * item_pull
-    if V is None:
+    if projection is None:
         return grad_P, grad_Q, None
     return grad_P, grad_Q, 2.0 * reg * projection + scale * sem_w * (item_pull.T @ embeddings)
 

@@ -67,8 +67,7 @@ def save_bundle(bundle: ModelBundle, path) -> None:
         "embedding_provider": bundle.embedding_provider,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")  # json.dumps runs the C encoder, json.dump does not
 
 
 def load_bundle(path) -> ModelBundle:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +68,50 @@ def test_train_hybrid_alpha_zero_predicts_like_mf(fusion_files, tmp_path, capsys
         mf_bundle.model.predict_pairs(users, items),
         hy_bundle.model.predict_pairs(users, items),
     )
+
+
+@pytest.fixture
+def embeddings_file(fusion_files, tmp_path):
+    """One 5-wide vector per item of the fusion data, plus one for an unknown id."""
+    data, _ = fusion_files
+    items = sorted({row.item for row in load_interactions(data, "csv")})
+    rng = np.random.default_rng(4)
+    vectors = {item: rng.normal(size=5).tolist() for item in items}
+    path = tmp_path / "vectors.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for item_id, vec in [*vectors.items(), ("no-such-item", [1.0] * 5)]:
+            fh.write(json.dumps({"item_id": item_id, "vector": vec}) + "\n")
+    return str(path), vectors
+
+
+SKIPPED_EMBEDDING = "warning: skipped 1 embeddings with unknown item ids\n"
+
+
+def test_train_hybrid_from_embeddings_file(fusion_files, embeddings_file, tmp_path, capsys):
+    data, _ = fusion_files
+    vectors_path, vectors = embeddings_file
+    out = str(tmp_path / "hy.json")
+    code = run(["train", "--data", data, "--format", "csv", "--mode", "hybrid",
+                "--embeddings", vectors_path, "--k", "4", "--epochs", "2", "--out", out])
+    assert code == 0
+    assert capsys.readouterr().err == SKIPPED_EMBEDDING
+    bundle = load_bundle(out)
+    assert bundle.embedding_provider == {"kind": "file", "path": vectors_path, "dim": 5}
+    table = bundle.model.embeddings
+    assert len(table) == len(vectors)
+    for item_id, vec in vectors.items():
+        assert table.get(bundle.items.index(item_id)).tolist() == vec
+
+
+def test_sweep_from_embeddings_file(fusion_files, embeddings_file, capsys):
+    data, _ = fusion_files
+    vectors_path, _ = embeddings_file
+    code = run(["sweep", "--data", data, "--format", "csv", "--embeddings", vectors_path,
+                "--alphas", "0,0.5", "--k", "4", "--epochs", "2", "--seed", "2"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == SKIPPED_EMBEDDING
+    assert [l.split()[0] for l in captured.out.strip().splitlines()[1:]] == ["0.00", "0.50"]
 
 
 def test_train_unreadable_path_fails_cleanly(tmp_path, capsys):
@@ -181,6 +226,27 @@ def test_evaluate_against_foreign_data_fails(trained_mf, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "mismatch" in captured.err
+
+
+@pytest.mark.parametrize(
+    "rewrite, problem",
+    [
+        (lambda header, rows: header + "".join(rows) + "stranger,i0,4\n",
+         "data file contains user id 'stranger' unknown to the model"),
+        (lambda header, rows: header + "".join(reversed(rows)),
+         "user ids appear in a different order than the model was trained on"),
+    ],
+    ids=["unknown-id", "reordered-ids"],
+)
+def test_evaluate_on_mismatched_ids_names_the_problem(trained_mf, tmp_path, capsys,
+                                                       rewrite, problem):
+    data, model = trained_mf
+    header, *rows = Path(data).read_text().splitlines(keepends=True)
+    edited = tmp_path / "edited.csv"
+    edited.write_text(rewrite(header, rows))
+    code = run(["evaluate", "--model", model, "--data", str(edited), "--format", "csv"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: model/data mismatch: {problem}\n"
 
 
 # ---------------------------------------------------------------- recommend

@@ -407,6 +407,29 @@ def test_every_score_is_its_pair_score_bitwise(kind):
                 assert bits(predict_cold_start(model, u, i)) == bits(semantic[i])
 
 
+@pytest.mark.parametrize("kind", ["mf", "additive-0.5", "additive-0.0"])
+@pytest.mark.parametrize("where", ["negative", "past-end"])
+def test_out_of_range_item_rejected_naming_the_index(kind, where):
+    """-1 would wrap to the last item and n_items would overrun: both raise, naming the index."""
+    _, models = random_scoring_models(2, 10, 3, 4, seed=9)
+    model = models[kind]
+    bad = -1 if where == "negative" else model.n_items
+    message = rf"^item index {bad} out of range \[0, 10\)$"
+    with pytest.raises(IndexError, match=message):
+        model.score_items(0, [3, bad])
+    with pytest.raises(IndexError, match=message):
+        topk(model, 0, 3, exclude={bad})
+    if kind == "mf":
+        with pytest.raises(IndexError, match=message):
+            predict_mf(model, 0, bad)
+        return
+    with pytest.raises(IndexError, match=message):
+        model.semantic_scores(0, [bad])
+    for predict in (predict_hybrid, semantic_score, predict_cold_start):
+        with pytest.raises(IndexError, match=message):
+            predict(model, 0, bad)
+
+
 # ---------------------------------------------------------------- reporting
 
 def test_report_json_is_canonical():

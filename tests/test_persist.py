@@ -159,6 +159,14 @@ def _boolean_split_seed(doc):
     doc["split_seed"] = True
 
 
+def _nan_projection(doc):
+    doc["projection"][0][0] = float("nan")
+
+
+def _narrow_item_factors(doc):
+    doc["item_factors"] = [row[:-1] for row in doc["item_factors"]]
+
+
 @pytest.mark.parametrize(
     "corrupt, field",
     [
@@ -172,11 +180,14 @@ def _boolean_split_seed(doc):
         (_nan_reg, "train_config"),
         (_negative_seed, "train_config"),
         (_boolean_split_seed, "split_seed"),
+        (_nan_projection, "projection"),
+        (_narrow_item_factors, "item_factors"),
     ],
     ids=[
         "short-item-counts", "fractional-item-count", "negative-item-count",
         "missing-user-ids", "missing-key", "non-numeric-factor", "huge-int-factor",
-        "nan-reg", "negative-seed", "boolean-split-seed",
+        "nan-reg", "negative-seed", "boolean-split-seed", "nan-projection",
+        "narrow-item-factors",
     ],
 )
 def test_malformed_field_rejected_naming_file_and_field(tmp_path, corrupt, field):

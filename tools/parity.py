@@ -1,0 +1,206 @@
+#!/usr/bin/env python3
+"""Parity check: the library at a git revision against this checkout, output by output.
+
+    python tools/parity.py --base REV
+
+exports REV's ``src/`` with ``git archive`` and runs one driver under each
+``src/`` tree (REV's, then this working tree's) in a child process.  The
+driver trains every mode below on the long-tail stand-in
+(``perfbench/gen.write_longtail``, seed 7, 943 users x 1682 items x 100k
+ratings; k=32, lr 0.02, 3 epochs) and records P, Q, ``W``, the embeddings,
+the dataset split, the losses, ``predict_pairs`` on the test split, the
+evaluation report, the top-10 list of every user, the ``recommend`` lists of
+every 7th user (with and without cold items) and the model-file bytes.
+
+It prints, per mode and output, ``bitwise`` (arrays), ``equal`` (lists,
+reports, file bytes) or the largest difference relative to the largest entry,
+and exits 1 when an output breaks README's determinism contract:
+
+* in every mode, P, Q, ``W``, the embeddings, the dataset and the model file
+  are bitwise equal;
+* in the modes without a semantic term (mf, alpha=0) every output is;
+* at alpha > 0 the reports, top-K lists and ``recommend`` item lists are
+  equal, and the losses and scores agree within ``ULP_BOUND`` relative.
+"""
+
+import argparse
+import hashlib
+import io
+import math
+import pickle
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+SEED = 7
+SHAPE = dict(n_users=943, n_items=1682, n_ratings=100_000,
+             exponent=1.2, single_share=0.10, textless_share=0.08)
+TRAIN = dict(n_factors=32, learning_rate=0.02, epochs=3, seed=SEED)
+EMBED_DIM = 64
+TOP_K = 10
+RECOMMEND_EVERY = 7
+
+# mode -> (fusion, alpha), None for plain MF
+MODES = {
+    "mf": None,
+    "additive-0": ("additive", 0.0),
+    "convex-0": ("convex", 0.0),
+    "additive-0.5": ("additive", 0.5),
+    "convex-0.3": ("convex", 0.3),
+}
+# outputs that may differ at the ulp level in modes with a semantic term
+ULP_OUTPUTS = {"losses", "test_scores", "recommend_scores"}
+ULP_BOUND = 1e-12
+
+
+def has_semantic_term(mode):
+    return MODES[mode] is not None and MODES[mode][1] > 0
+
+
+def drive(src, data_dir):
+    """Every output of every mode, computed by the package under ``src``."""
+    sys.path.insert(0, src)
+    import rexfuse
+    from rexfuse import (
+        EvalConfig, ModelBundle, TrainConfig, build_dataset, embed_corpus, evaluate_model,
+        load_interactions, load_item_text, recommend_for_user, save_bundle, topk, train_hybrid,
+        train_mf,
+    )
+
+    if not Path(rexfuse.__file__).resolve().is_relative_to(Path(src).resolve()):
+        sys.exit(f"parity: imported rexfuse from {rexfuse.__file__}, not from {src}")
+    data_dir = Path(data_dir)
+    dataset = build_dataset(load_interactions(data_dir / "ratings.tsv", "movielens100k"), SEED)
+    table = embed_corpus(load_item_text(data_dir / "texts.jsonl", dataset.items), EMBED_DIM)
+    config = TrainConfig(**TRAIN)
+    train, test = dataset.train, dataset.test
+    counts = dataset.item_train_counts()
+    train_items = {}
+    for u, i in zip(train.users.tolist(), train.items.tolist()):
+        train_items.setdefault(u, set()).add(i)
+    split = hashlib.sha256()
+    for ids in (dataset.users.ids, dataset.items.ids):
+        split.update("\n".join(ids).encode() + b"\0")
+    for part in (train, dataset.validation, test):
+        for column in (part.users, part.items, part.ratings):
+            split.update(np.ascontiguousarray(column).tobytes())
+
+    results = {}
+    for mode, head in MODES.items():
+        if head is None:
+            model, losses = train_mf(dataset, config)
+            factors, outputs = model, {}
+        else:
+            fusion, alpha = head
+            model, losses = train_hybrid(dataset, table, config, alpha, fusion=fusion)
+            factors, outputs = model.factors, {"W": model.projection, "E": table.dense(len(counts))}
+        rows = [recommend_for_user(model, u, TOP_K, counts, include_cold=cold)
+                for cold in (False, True)
+                for u in range(0, dataset.n_users, RECOMMEND_EVERY)]
+        path = data_dir / f"{mode}.model.json"
+        save_bundle(ModelBundle("mf" if head is None else "hybrid", model, dataset.users,
+                                dataset.items, config, SEED, counts,
+                                None if head is None else {"kind": "hashed_bow", "dim": EMBED_DIM}),
+                    path)
+        outputs.update(
+            dataset=split.hexdigest(),
+            P=factors.user_factors,
+            Q=factors.item_factors,
+            losses=np.array(losses),
+            test_scores=model.predict_pairs(test.users, test.items),
+            report=evaluate_model(model, dataset, EvalConfig(top_k=TOP_K)).to_json(),
+            topk=[topk(model, u, TOP_K, exclude=train_items.get(u, ()))
+                  for u in range(dataset.n_users)],
+            recommend_items=[[(i, label) for i, _, label in row] for row in rows],
+            recommend_scores=np.array([score for row in rows for _, score, _ in row]),
+            model_file=path.read_bytes(),
+        )
+        results[mode] = outputs
+    return results
+
+
+def difference(base, head):
+    """None when ``head`` equals ``base`` bit for bit; else the largest difference
+    relative to base's largest entry (inf when shapes, types or values are not comparable)."""
+    if not isinstance(base, np.ndarray):
+        return None if type(base) is type(head) and base == head else math.inf
+    if not isinstance(head, np.ndarray) or (base.dtype, base.shape) != (head.dtype, head.shape):
+        return math.inf
+    if base.tobytes() == head.tobytes():
+        return None
+    scale = np.max(np.abs(base))
+    return float(np.max(np.abs(head - base)) / scale) if scale > 0 else math.inf
+
+
+def verdicts(base, head):
+    """(mode, output, verdict, ok) for each output of ``base``, judged by the contract."""
+    rows = []
+    for mode, outputs in base.items():
+        for name, value in outputs.items():
+            if name not in head.get(mode, {}):
+                rows.append((mode, name, "missing", False))
+                continue
+            rel = difference(value, head[mode][name])
+            if rel is None:
+                text, ok = ("bitwise" if isinstance(value, np.ndarray) else "equal"), True
+            else:
+                text = "differs" if rel == math.inf else f"{rel:.2e} relative"
+                ok = has_semantic_term(mode) and name in ULP_OUTPUTS and rel <= ULP_BOUND
+            rows.append((mode, name, text, ok))
+    return rows
+
+
+def export_src(rev, dest):
+    """Extract ``src/`` of git revision ``rev`` under ``dest``; return the tree's path."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+    return str(Path(dest) / "src")
+
+
+def run_child(src, data_dir, out):
+    subprocess.run([sys.executable, __file__, "--child", src, data_dir, out], check=True)
+    with open(out, "rb") as fh:
+        return pickle.load(fh)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", help="git revision to compare this checkout's src/ against")
+    parser.add_argument("--child", nargs=3, metavar=("SRC", "DATA", "OUT"), help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        src, data_dir, out = args.child
+        with open(out, "wb") as fh:
+            pickle.dump(drive(src, data_dir), fh)
+        return 0
+    if not args.base:
+        parser.error("--base is required")
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import gen
+
+    with tempfile.TemporaryDirectory(prefix="rexfuse-parity-") as tmp:
+        tmp = Path(tmp)
+        gen.write_longtail(tmp / "ratings.tsv", tmp / "texts.jsonl", SEED, **SHAPE)
+        base_src = export_src(args.base, tmp / "base")
+        base = run_child(base_src, str(tmp), str(tmp / "base.pickle"))
+        head = run_child(str(ROOT / "src"), str(tmp), str(tmp / "head.pickle"))
+    rows = verdicts(base, head)
+    width = max(len(name) for _, name, _, _ in rows)
+    for mode, name, text, ok in rows:
+        print(f"{mode:<13} {name:<{width}}  {text}{'' if ok else '  <- breaks the contract'}")
+    broken = sum(not ok for *_, ok in rows)
+    verdict = f"{broken} outputs break the contract" if broken else "ok"
+    print(f"parity against {args.base}: {verdict}")
+    return 1 if broken else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
