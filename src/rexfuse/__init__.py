@@ -4,6 +4,7 @@ from .dataset import (
     IdIndex,
     Interaction,
     InteractionDataset,
+    Interactions,
     ItemTextCorpus,
     RatingTriples,
     build_dataset,

@@ -76,10 +76,14 @@ def _index_mismatch(kind, model_index, data_index):
     return None
 
 
+def _load_dataset(path, fmt, seed):
+    """The dataset of one interactions file; the rows themselves are not kept."""
+    return build_dataset(load_interactions(path, fmt), seed)
+
+
 def cmd_train(args) -> int:
     seed = _resolve_seed(args.seed)
-    interactions = load_interactions(args.data, args.format)
-    dataset = build_dataset(interactions, seed)
+    dataset = _load_dataset(args.data, args.format, seed)
     config = _train_config(args, seed)
 
     if args.mode == MODE_MF:
@@ -109,8 +113,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     bundle = load_bundle(args.model)
-    interactions = load_interactions(args.data, args.format)
-    dataset = build_dataset(interactions, bundle.split_seed)
+    dataset = _load_dataset(args.data, args.format, bundle.split_seed)
     for kind, model_idx, data_idx in (
         ("user", bundle.users, dataset.users),
         ("item", bundle.items, dataset.items),
@@ -159,8 +162,7 @@ def cmd_sweep(args) -> int:
         raise CliError("--alphas must name at least one value")
 
     seed = _resolve_seed(args.seed)
-    interactions = load_interactions(args.data, args.format)
-    dataset = build_dataset(interactions, seed)
+    dataset = _load_dataset(args.data, args.format, seed)
     table, _ = _embedding_source(args, dataset.items, "sweep")
     config = _train_config(args, seed)
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,15 +31,15 @@ class IdIndex:
     """
 
     def __init__(self, ids=()):
-        self._forward = {}
-        self._backward = []
-        for ext in ids:
-            if ext not in self._forward:
-                self._forward[ext] = len(self._backward)
-                self._backward.append(ext)
+        self._backward = list(dict.fromkeys(ids))
+        self._forward = dict(zip(self._backward, range(len(self._backward))))
 
     def index(self, external_id: str) -> int:
         return self._forward[external_id]
+
+    def indices(self, external_ids: list) -> np.ndarray:
+        """Dense indices of a list of known external ids, as an int64 array."""
+        return np.fromiter(map(self._forward.__getitem__, external_ids), np.int64, len(external_ids))
 
     def id(self, dense_index: int) -> str:
         return self._backward[dense_index]
@@ -56,6 +57,52 @@ class IdIndex:
     def ids(self) -> list:
         """External ids in dense order."""
         return list(self._backward)
+
+
+@dataclass
+class Interactions(Sequence):
+    """Interactions as four parallel lists: user ids, item ids, ratings, timestamps.
+
+    Indexing and iteration yield ``Interaction`` objects, so it reads as the
+    list of rows it stands for; ``build_dataset`` reads the columns directly.
+    """
+
+    users: list = field(default_factory=list)
+    items: list = field(default_factory=list)
+    ratings: list = field(default_factory=list)
+    timestamps: list = field(default_factory=list)
+
+    @classmethod
+    def of(cls, interactions) -> "Interactions":
+        """A sequence of ``Interaction`` rows as columns; columns are returned as they are."""
+        if isinstance(interactions, cls):
+            return interactions
+        return cls(
+            [x.user for x in interactions],
+            [x.item for x in interactions],
+            [x.rating for x in interactions],
+            [x.timestamp for x in interactions],
+        )
+
+    def append(self, interaction: Interaction) -> None:
+        self.users.append(interaction.user)
+        self.items.append(interaction.item)
+        self.ratings.append(interaction.rating)
+        self.timestamps.append(interaction.timestamp)
+
+    def _columns(self) -> tuple:
+        return self.users, self.items, self.ratings, self.timestamps
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Interactions(*(column[index] for column in self._columns()))
+        return Interaction(*(column[index] for column in self._columns()))
+
+    def __iter__(self):
+        return map(Interaction, *self._columns())
 
 
 @dataclass(frozen=True)
@@ -145,8 +192,9 @@ def _interaction(path, lineno, user, item, rating, ts) -> Interaction:
         raise ValueError(f"{path}:{lineno}: non-integer timestamp {ts!r}") from None
 
 
-def _load_movielens100k(path) -> list:
-    interactions = []
+def _load_movielens100k(path) -> Interactions:
+    """The per-line MovieLens loop: the reference the bulk parser must agree with."""
+    interactions = Interactions()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
@@ -161,11 +209,52 @@ def _load_movielens100k(path) -> list:
     return interactions
 
 
+def _three_tabs_per_line(data: bytes) -> bool:
+    """Whether every ``\\n``-separated line of ``data`` holds exactly three tab bytes."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    line_ends = np.append(np.flatnonzero(raw == ord("\n")), len(raw))
+    tabs_before = np.searchsorted(np.flatnonzero(raw == ord("\t")), line_ends)
+    return bool(np.all(np.diff(tabs_before, prepend=0) == 3))
+
+
+def _parse_movielens_bulk(path) -> Optional[Interactions]:
+    """The file's rows converted column by column, or None where the per-line loop must run.
+
+    The bulk path takes only files whose every line holds exactly three tabs,
+    with no ``\\r``, valid UTF-8, non-empty ids, a finite rating and an integer
+    timestamp; a blank or whitespace-only line fails the tab count or the
+    rating conversion.  Ratings and timestamps go through ``float`` and
+    ``int``, the per-line loop's own parsers, so the accepted syntax is the
+    same.  On any other file the caller runs ``_load_movielens100k``, which
+    skips blank lines and raises the ``path:line:`` message.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.endswith(b"\n"):
+        data = data[:-1]
+    if b"\r" in data or not _three_tabs_per_line(data):
+        return None
+    try:
+        fields = data.decode("utf-8").replace("\n", "\t").split("\t")
+    except UnicodeDecodeError:
+        return None
+    users, items, ratings, timestamps = (fields[k::4] for k in range(4))
+    del fields, data  # so each column of number strings is freed once converted
+    try:
+        ratings = list(map(float, ratings))
+        timestamps = list(map(int, timestamps))
+    except ValueError:
+        return None
+    if not (all(users) and all(items) and all(map(math.isfinite, ratings))):
+        return None
+    return Interactions(users, items, ratings, timestamps)
+
+
 _CSV_BASE_HEADER = ["user_id", "item_id", "rating"]
 
 
-def _load_csv(path) -> list:
-    interactions = []
+def _load_csv(path) -> Interactions:
+    interactions = Interactions()
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -190,8 +279,8 @@ def _load_csv(path) -> list:
     return interactions
 
 
-def load_interactions(path, format: str = "movielens100k") -> list:
-    """Load interactions from disk.
+def load_interactions(path, format: str = "movielens100k") -> Interactions:
+    """Load interactions from disk as columns that index and iterate as ``Interaction`` rows.
 
     Formats:
       movielens100k -- tab-separated ``user<TAB>item<TAB>rating<TAB>timestamp``
@@ -201,7 +290,9 @@ def load_interactions(path, format: str = "movielens100k") -> list:
     files that contain no interactions at all.
     """
     if format == "movielens100k":
-        interactions = _load_movielens100k(path)
+        interactions = _parse_movielens_bulk(path)
+        if interactions is None:
+            interactions = _load_movielens100k(path)
     elif format == "csv":
         interactions = _load_csv(path)
     else:
@@ -232,21 +323,23 @@ def split_sizes(n: int) -> tuple:
 def build_dataset(interactions, split_seed: int) -> InteractionDataset:
     """Index interactions and split them 70/15/15 with a seeded shuffle.
 
-    Indices are assigned in first-appearance order over the input list; the
-    split applies a deterministic random permutation seeded by ``split_seed``
-    before cutting.  Identical inputs and seed give identical datasets.
+    ``interactions`` is a sequence of ``Interaction`` rows or ``Interactions``
+    columns.  Indices are assigned in first-appearance order over the input;
+    the split applies a deterministic random permutation seeded by
+    ``split_seed`` before cutting.  Identical inputs and seed give identical
+    datasets.
     """
     require_int("split_seed", split_seed, 0)
-    n = len(interactions)
+    columns = Interactions.of(interactions)
+    n = len(columns)
     if n < 3:
         raise ValueError(f"need at least 3 interactions to split, got {n}")
 
-    users = IdIndex(inter.user for inter in interactions)
-    items = IdIndex(inter.item for inter in interactions)
-
-    u = np.array([users.index(inter.user) for inter in interactions], dtype=np.int64)
-    i = np.array([items.index(inter.item) for inter in interactions], dtype=np.int64)
-    r = np.array([inter.rating for inter in interactions], dtype=np.float64)
+    users = IdIndex(columns.users)
+    items = IdIndex(columns.items)
+    u = users.indices(columns.users)
+    i = items.indices(columns.items)
+    r = np.array(columns.ratings, dtype=np.float64)
 
     perm = np.random.default_rng(split_seed).permutation(n)
     u, i, r = u[perm], i[perm], r[perm]

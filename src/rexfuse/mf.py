@@ -71,6 +71,8 @@ class FactorModel:
         return score_pairs(self, u, items)
 
     def predict_pairs(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        _check_index(users, self.n_users, "user")
+        _check_index(items, self.n_items, "item")
         return score_pairs(self, users, items)
 
 

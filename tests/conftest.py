@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rexfuse.dataset import IdIndex, Interaction, InteractionDataset, RatingTriples, build_dataset
+
+# ``pytest --hypothesis-profile=ci``: the same examples on every run, so a CI
+# failure reproduces locally with the same command.
+settings.register_profile("ci", derandomize=True)
 
 
 def random_interactions(rng, n, n_users=8, n_items=10):

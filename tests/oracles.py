@@ -234,3 +234,25 @@ def recommend_bruteforce(P, Q, u, k, counts, include_cold=False, head=None):
         rows.append((i, cf_w * cf + alpha * sem, "cf+semantic"))
     rows.sort(key=lambda row: (-row[1], row[0]))
     return rows[:k]
+
+
+def build_dataset_reference(interactions, split_seed):
+    """Per-row indexing and the seeded 70/15/15 split, as ``build_dataset`` once did it.
+
+    Returns (user ids in index order, item ids in index order, [train,
+    validation, test]) with each split as (users, items, ratings) arrays.
+    """
+    user_index, item_index = {}, {}
+    for inter in interactions:
+        user_index.setdefault(inter.user, len(user_index))
+        item_index.setdefault(inter.item, len(item_index))
+    u = np.array([user_index[inter.user] for inter in interactions], dtype=np.int64)
+    i = np.array([item_index[inter.item] for inter in interactions], dtype=np.int64)
+    r = np.array([inter.rating for inter in interactions], dtype=np.float64)
+    n = len(u)
+    perm = np.random.default_rng(split_seed).permutation(n)
+    cuts = [0, 70 * n // 100, 85 * n // 100, n]
+    splits = [
+        (u[perm][lo:hi], i[perm][lo:hi], r[perm][lo:hi]) for lo, hi in zip(cuts, cuts[1:])
+    ]
+    return list(user_index), list(item_index), splits

@@ -419,6 +419,12 @@ def test_out_of_range_item_rejected_naming_the_index(kind, where):
         model.score_items(0, [3, bad])
     with pytest.raises(IndexError, match=message):
         topk(model, 0, 3, exclude={bad})
+    with pytest.raises(IndexError, match=message):
+        model.predict_pairs(np.array([0, 1]), np.array([3, bad]))
+    with pytest.raises(IndexError, match=message):
+        rmse(model, RatingTriples(np.array([0]), np.array([bad]), np.array([3.0])))
+    with pytest.raises(IndexError, match=rf"^user index {bad - 8} out of range \[0, 2\)$"):
+        model.predict_pairs(np.array([bad - 8]), np.array([3]))
     if kind == "mf":
         with pytest.raises(IndexError, match=message):
             predict_mf(model, 0, bad)

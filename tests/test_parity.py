@@ -74,3 +74,18 @@ def test_shape_change_is_flagged_not_raised():
     head = outputs(1)
     head["mf"]["P"] = head["mf"]["P"][:, :2]
     assert broken(outputs(1), head) == {("mf", "P")}
+
+
+def test_dataset_outputs_name_the_array_that_changed(small_dataset):
+    """Each id list and split column is its own output, judged bitwise in every ingest."""
+    base = {name: parity.dataset_outputs(small_dataset) for name in parity.INGESTS}
+    assert set(base["csv"]) == {"user_ids", "item_ids"} | {
+        f"{part}.{column}"
+        for part in ("train", "validation", "test")
+        for column in ("users", "items", "ratings")
+    }
+    head = {name: parity.dataset_outputs(small_dataset) for name in parity.INGESTS}
+    assert broken(base, head) == set()
+    head["csv"]["validation.ratings"] = head["csv"]["validation.ratings"] * (1 + 4e-16)
+    head["movielens100k"]["item_ids"] = head["movielens100k"]["item_ids"][::-1]
+    assert broken(base, head) == {("csv", "validation.ratings"), ("movielens100k", "item_ids")}

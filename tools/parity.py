@@ -8,23 +8,25 @@ exports REV's ``src/`` with ``git archive`` and runs one driver under each
 driver trains every mode below on the long-tail stand-in
 (``perfbench/gen.write_longtail``, seed 7, 943 users x 1682 items x 100k
 ratings; k=32, lr 0.02, 3 epochs) and records P, Q, ``W``, the embeddings,
-the dataset split, the losses, ``predict_pairs`` on the test split, the
-evaluation report, the top-10 list of every user, the ``recommend`` lists of
-every 7th user (with and without cold items) and the model-file bytes.
+the losses, ``predict_pairs`` on the test split, the evaluation report, the
+top-10 list of every user, the ``recommend`` lists of every 7th user (with
+and without cold items) and the model-file bytes.  It also ingests the
+ratings as a MovieLens file and as a CSV rendering of the same rows, and
+records each dataset's user and item id lists and every train, validation
+and test column.
 
 It prints, per mode and output, ``bitwise`` (arrays), ``equal`` (lists,
 reports, file bytes) or the largest difference relative to the largest entry,
 and exits 1 when an output breaks README's determinism contract:
 
-* in every mode, P, Q, ``W``, the embeddings, the dataset and the model file
-  are bitwise equal;
+* both datasets, and in every mode P, Q, ``W``, the embeddings and the model
+  file, are bitwise equal;
 * in the modes without a semantic term (mf, alpha=0) every output is;
 * at alpha > 0 the reports, top-K lists and ``recommend`` item lists are
   equal, and the losses and scores agree within ``ULP_BOUND`` relative.
 """
 
 import argparse
-import hashlib
 import io
 import math
 import pickle
@@ -56,10 +58,29 @@ MODES = {
 # outputs that may differ at the ulp level in modes with a semantic term
 ULP_OUTPUTS = {"losses", "test_scores", "recommend_scores"}
 ULP_BOUND = 1e-12
+# the two renderings of the ratings that are ingested: (file name, format)
+INGESTS = {"movielens100k": ("ratings.tsv", "movielens100k"), "csv": ("ratings.csv", "csv")}
 
 
 def has_semantic_term(mode):
-    return MODES[mode] is not None and MODES[mode][1] > 0
+    return MODES.get(mode) is not None and MODES[mode][1] > 0
+
+
+def dataset_outputs(dataset):
+    """The id lists and every split column of a dataset, each its own output."""
+    outputs = {"user_ids": dataset.users.ids, "item_ids": dataset.items.ids}
+    for part in ("train", "validation", "test"):
+        for column in ("users", "items", "ratings"):
+            outputs[f"{part}.{column}"] = getattr(getattr(dataset, part), column)
+    return outputs
+
+
+def write_csv_rendering(tsv, csv):
+    """The MovieLens file's rows as a CSV file with a timestamp column."""
+    with open(tsv, encoding="utf-8") as src, open(csv, "w", encoding="utf-8") as dst:
+        dst.write("user_id,item_id,rating,timestamp\n")
+        for line in src:
+            dst.write(line.replace("\t", ","))
 
 
 def drive(src, data_dir):
@@ -75,7 +96,9 @@ def drive(src, data_dir):
     if not Path(rexfuse.__file__).resolve().is_relative_to(Path(src).resolve()):
         sys.exit(f"parity: imported rexfuse from {rexfuse.__file__}, not from {src}")
     data_dir = Path(data_dir)
-    dataset = build_dataset(load_interactions(data_dir / "ratings.tsv", "movielens100k"), SEED)
+    datasets = {name: build_dataset(load_interactions(data_dir / file, fmt), SEED)
+                for name, (file, fmt) in INGESTS.items()}
+    dataset = datasets["movielens100k"]
     table = embed_corpus(load_item_text(data_dir / "texts.jsonl", dataset.items), EMBED_DIM)
     config = TrainConfig(**TRAIN)
     train, test = dataset.train, dataset.test
@@ -83,14 +106,7 @@ def drive(src, data_dir):
     train_items = {}
     for u, i in zip(train.users.tolist(), train.items.tolist()):
         train_items.setdefault(u, set()).add(i)
-    split = hashlib.sha256()
-    for ids in (dataset.users.ids, dataset.items.ids):
-        split.update("\n".join(ids).encode() + b"\0")
-    for part in (train, dataset.validation, test):
-        for column in (part.users, part.items, part.ratings):
-            split.update(np.ascontiguousarray(column).tobytes())
-
-    results = {}
+    results = {name: dataset_outputs(ds) for name, ds in datasets.items()}
     for mode, head in MODES.items():
         if head is None:
             model, losses = train_mf(dataset, config)
@@ -108,7 +124,6 @@ def drive(src, data_dir):
                                 None if head is None else {"kind": "hashed_bow", "dim": EMBED_DIM}),
                     path)
         outputs.update(
-            dataset=split.hexdigest(),
             P=factors.user_factors,
             Q=factors.item_factors,
             losses=np.array(losses),
@@ -189,6 +204,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="rexfuse-parity-") as tmp:
         tmp = Path(tmp)
         gen.write_longtail(tmp / "ratings.tsv", tmp / "texts.jsonl", SEED, **SHAPE)
+        write_csv_rendering(tmp / "ratings.tsv", tmp / "ratings.csv")
         base_src = export_src(args.base, tmp / "base")
         base = run_child(base_src, str(tmp), str(tmp / "base.pickle"))
         head = run_child(str(ROOT / "src"), str(tmp), str(tmp / "head.pickle"))
