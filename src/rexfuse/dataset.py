@@ -3,14 +3,19 @@
 import csv
 import json
 import math
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 TRAIN_PCT = 70
 VALIDATION_PCT = 15
+
+# how the "surrogateescape" error handler decodes each byte of invalid UTF-8
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 @dataclass(frozen=True)
@@ -192,20 +197,28 @@ def _interaction(path, lineno, user, item, rating, ts) -> Interaction:
         raise ValueError(f"{path}:{lineno}: non-integer timestamp {ts!r}") from None
 
 
+def _text_lines(path, encoding="utf-8", newline=None):
+    """The lines of a UTF-8 text file; a line with invalid UTF-8 raises a ``path:line:`` error."""
+    with open(path, encoding=encoding, errors="surrogateescape", newline=newline) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            bad = None if line.isascii() else _ESCAPED_BYTE.search(line)
+            if bad:
+                byte = ord(bad.group()) - 0xDC00
+                raise ValueError(f"{path}:{lineno}: invalid UTF-8 (byte 0x{byte:02x})")
+            yield line
+
+
 def _load_movielens100k(path) -> Interactions:
     """The per-line MovieLens loop: the reference the bulk parser must agree with."""
     interactions = Interactions()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}"
-                )
-            interactions.append(_interaction(path, lineno, *fields))
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}")
+        interactions.append(_interaction(path, lineno, *fields))
     return interactions
 
 
@@ -253,29 +266,35 @@ def _parse_movielens_bulk(path) -> Optional[Interactions]:
 _CSV_BASE_HEADER = ["user_id", "item_id", "rating"]
 
 
+def _csv_rows(path):
+    """The rows of a CSV file; a line the csv module rejects raises a ``path:line:`` error."""
+    reader = csv.reader(_text_lines(path, "utf-8-sig", newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:  # e.g. a field over the module's size limit
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def _load_csv(path) -> Interactions:
     interactions = Interactions()
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        has_timestamp = header == _CSV_BASE_HEADER + ["timestamp"]
-        if not has_timestamp and header != _CSV_BASE_HEADER:
-            raise ValueError(
-                f"{path}:1: expected header user_id,item_id,rating[,timestamp], got {','.join(header)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not f.strip() for f in row):
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            ts = row[3] if has_timestamp else ""
-            interactions.append(_interaction(path, lineno, row[0], row[1], row[2], ts))
+    reader = _csv_rows(path)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    has_timestamp = header == _CSV_BASE_HEADER + ["timestamp"]
+    if not has_timestamp and header != _CSV_BASE_HEADER:
+        raise ValueError(
+            f"{path}:1: expected header user_id,item_id,rating[,timestamp], got {','.join(header)}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not f.strip() for f in row):
+            continue
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+        ts = row[3] if has_timestamp else ""
+        interactions.append(_interaction(path, lineno, row[0], row[1], row[2], ts))
     return interactions
 
 
@@ -308,6 +327,36 @@ def require_int(name: str, value, low: int):
         kind = "positive" if low == 1 else "non-negative"
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
     return value
+
+
+def json_float_array(raw, shape: tuple) -> np.ndarray:
+    """Nested JSON lists of numbers as a finite float64 array of ``shape``.
+
+    ``None`` in ``shape`` matches any size.  Only JSON ints and floats count
+    as numbers: numpy alone would read "1.5" and true as 1.5 and 1.0.  A
+    ValueError states the problem for the caller to prefix with the file,
+    line or field it read.
+    """
+    if type(raw) is not list:
+        raise ValueError("must be a list of numbers")
+    flat = raw
+    for _ in shape[1:]:
+        if not all(type(x) is list for x in flat):
+            raise ValueError("must be a list of numbers")
+        flat = list(chain.from_iterable(flat))
+    if not set(map(type, flat)) <= {int, float}:
+        raise ValueError("must be a list of numbers")
+    try:
+        arr = np.array(raw, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError("must be a list of numbers") from None
+    except ValueError:  # rows of unequal length
+        raise ValueError(f"must have shape {shape}") from None
+    if not all(s in (None, n) for n, s in zip(arr.shape, shape)):
+        raise ValueError(f"has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("contains non-finite values")
+    return arr
 
 
 def split_sizes(n: int) -> tuple:
@@ -368,26 +417,25 @@ def read_item_records(path, items: IdIndex, field: str, kind: type, expected: st
     """
     values = {}
     skipped = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}: malformed JSON ({exc.msg})") from None
-            if (
-                not isinstance(record, dict)
-                or not isinstance(record.get("item_id"), str)
-                or not isinstance(record.get(field), kind)
-            ):
-                raise ValueError(f"{where}: expected object with {expected}")
-            value = record[field] if parse is None else parse(record[field], where)
-            if record["item_id"] not in items:
-                skipped += 1
-                continue
-            values[items.index(record["item_id"])] = value
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{where}: malformed JSON ({exc.msg})") from None
+        if (
+            not isinstance(record, dict)
+            or not isinstance(record.get("item_id"), str)
+            or not isinstance(record.get(field), kind)
+        ):
+            raise ValueError(f"{where}: expected object with {expected}")
+        value = record[field] if parse is None else parse(record[field], where)
+        if record["item_id"] not in items:
+            skipped += 1
+            continue
+        values[items.index(record["item_id"])] = value
     return values, skipped
 
 

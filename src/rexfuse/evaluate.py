@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,25 +40,22 @@ class EvalReport:
     alpha: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "precision": self.precision,
-            "recall": self.recall,
-            "coverage": self.coverage,
-            "rmse": self.rmse,
-            "n_users_evaluated": self.n_users_evaluated,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         """Canonical single-line JSON (stable key order, exact floats)."""
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _ranked(items: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k best entries: highest score first, ties to the lower item index."""
+def _ranked(scores: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
+    """The k best of the ascending ``candidates``: highest score first, ties to the lower index.
+
+    One stable sort on the negated score keeps tied candidates in their
+    ascending order.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return np.lexsort((items, -scores))[:k]
+    return candidates[np.argsort(-scores[candidates], kind="stable")[:k]]
 
 
 def topk(model, u: int, k: int, exclude=()) -> list:
@@ -67,24 +64,14 @@ def topk(model, u: int, k: int, exclude=()) -> list:
     Ties break toward the lower item index, so identical scores always give
     identical lists.  Returns fewer than k items only when the candidate
     pool is smaller.  The user's whole catalogue row is scored once and the
-    candidates are picked from it by mask.
+    candidates are picked from it by mask.  ``exclude`` is an int array or
+    any iterable of item indices.
     """
-    mask = np.ones(model.n_items, dtype=bool)
-    excluded = np.asarray(list(exclude), dtype=np.int64)
+    excluded = np.asarray(exclude if isinstance(exclude, np.ndarray) else list(exclude), np.int64)
     _check_index(excluded, model.n_items, "item")
+    mask = np.ones(model.n_items, dtype=bool)
     mask[excluded] = False
-    candidates = np.flatnonzero(mask)
-    scores = model.score_items(u, slice(None))[mask]
-    return candidates[_ranked(candidates, scores, k)].tolist()
-
-
-def relevant_items_by_user(test: RatingTriples, threshold: float) -> dict:
-    """Map user index -> set of test items rated at or above the threshold."""
-    relevant = {}
-    keep = test.ratings >= threshold
-    for u, i in zip(test.users[keep].tolist(), test.items[keep].tolist()):
-        relevant.setdefault(u, set()).add(i)
-    return relevant
+    return _ranked(model.score_items(u, slice(None)), np.flatnonzero(mask), k).tolist()
 
 
 def precision_recall(recommendations: dict, test: RatingTriples, threshold: float):
@@ -93,7 +80,10 @@ def precision_recall(recommendations: dict, test: RatingTriples, threshold: floa
     precision = total hits / total recommended, recall = total hits / total
     relevant, both summed over evaluable users only.
     """
-    relevant = relevant_items_by_user(test, threshold)
+    relevant = {}
+    keep = test.ratings >= threshold
+    for u, i in zip(test.users[keep].tolist(), test.items[keep].tolist()):
+        relevant.setdefault(u, set()).add(i)
     if not relevant:
         raise ValueError(f"no user has a test item rated >= {threshold}")
     hits = n_recommended = n_relevant = 0
@@ -133,27 +123,21 @@ def evaluate_model(
     micro-averaged precision/recall, catalog coverage of those lists, and
     RMSE over all test interactions.
     """
-    relevant = relevant_items_by_user(dataset.test, config.relevance_threshold)
-    if not relevant:
-        raise ValueError(
-            f"no user has a test item rated >= {config.relevance_threshold}"
-        )
-    users = sorted(relevant)
-    # every training item counts at a threshold of -inf
-    train_items = relevant_items_by_user(dataset.train, -math.inf)
-
+    test, train, n_items = dataset.test, dataset.train, dataset.n_items
+    users = np.unique(test.users[test.ratings >= config.relevance_threshold]).tolist()
+    # user u's distinct training items, ascending, are seen[offsets[u]:offsets[u + 1]]
+    pairs = np.unique(train.users * n_items + train.items)
+    offsets = np.cumsum(np.bincount(pairs // n_items + 1, minlength=dataset.n_users + 1))
+    seen = pairs % n_items
     recommendations = {
-        u: topk(model, u, config.top_k, exclude=train_items.get(u, ())) for u in users
+        u: topk(model, u, config.top_k, exclude=seen[offsets[u]:offsets[u + 1]]) for u in users
     }
-
-    precision, recall = precision_recall(
-        recommendations, dataset.test, config.relevance_threshold
-    )
+    precision, recall = precision_recall(recommendations, test, config.relevance_threshold)
     return EvalReport(
         precision=precision,
         recall=recall,
-        coverage=coverage(recommendations, dataset.n_items),
-        rmse=rmse(model, dataset.test),
+        coverage=coverage(recommendations, n_items),
+        rmse=rmse(model, test),
         n_users_evaluated=len(users),
         alpha=alpha,
     )
@@ -196,8 +180,7 @@ def recommend_for_user(model, u: int, k: int, item_train_counts, include_cold=Fa
     scores = model.score_items(u, slice(None))
     if is_hybrid and include_cold:
         scores = np.where(warm, scores, model.semantic_scores(u, slice(None)))
-    items = np.flatnonzero(warm | include_cold)
-    ranked = items[_ranked(items, scores[items], k)]
+    ranked = _ranked(scores, np.flatnonzero(warm | include_cold), k)
     warm_label, cold_label = ("cf+semantic", "cold-start") if is_hybrid else ("cf", "cf")
     return [(int(i), float(scores[i]), warm_label if warm[i] else cold_label) for i in ranked]
 

@@ -7,7 +7,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dataset import IdIndex
+from .dataset import IdIndex, json_float_array
 from .hybrid import HybridModel
 from .mf import FactorModel, TrainConfig
 from .semantic import ItemEmbeddingTable
@@ -80,6 +80,8 @@ def load_bundle(path) -> ModelBundle:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: malformed JSON ({exc.msg})") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: invalid UTF-8 ({exc.reason})") from None
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != FORMAT_VERSION:
         raise ValueError(
@@ -106,13 +108,9 @@ def load_bundle(path) -> ModelBundle:
     def array(name, raw, shape):
         """``raw`` as a finite float array of ``shape``; None in ``shape`` matches any size."""
         try:
-            arr = np.array(raw, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            raise bad(name, "must be an array of numbers") from None
-        fits = arr.ndim == len(shape) and all(s in (None, n) for n, s in zip(arr.shape, shape))
-        if not fits or not np.all(np.isfinite(arr)):
-            raise bad(name, f"must be a finite array of shape {shape}, got shape {arr.shape}")
-        return arr
+            return json_float_array(raw, shape)
+        except ValueError as exc:
+            raise bad(name, str(exc)) from None
 
     def ids(name, rows):
         raw = need(name)

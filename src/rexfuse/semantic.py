@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import IdIndex, ItemTextCorpus, read_item_records
+from .dataset import IdIndex, ItemTextCorpus, json_float_array, read_item_records
 
 _FNV64_OFFSET = 0xCBF29CE484222325
 _FNV64_PRIME = 0x100000001B3
@@ -121,18 +121,10 @@ def load_embeddings_file(path, items: IdIndex) -> ItemEmbeddingTable:
         if not raw:
             raise ValueError(f"{where}: vector must be a non-empty flat list")
         try:
-            # numpy would read "1.5" and true as numbers
-            if not all(type(x) in (int, float) for x in raw):
-                raise TypeError
-            vec = np.array(raw, dtype=np.float64)
-        except (TypeError, OverflowError):
-            raise ValueError(f"{where}: vector must be a list of numbers") from None
-        if dim is None:
-            dim = vec.size
-        elif vec.size != dim:
-            raise ValueError(f"{where}: vector has length {vec.size}, expected {dim}")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"{where}: vector contains non-finite values")
+            vec = json_float_array(raw, (dim,))
+        except ValueError as exc:
+            raise ValueError(f"{where}: vector {exc}") from None
+        dim = vec.size
         return vec
 
     vectors, skipped = read_item_records(

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -182,6 +183,53 @@ def test_memory_error_is_one_line(fusion_files, tmp_path, capsys, monkeypatch, m
     err = capsys.readouterr().err
     assert code == 1
     assert err == f"error: {printed}\n"
+
+
+def test_oversized_csv_field_fails_naming_file_and_line(tmp_path, capsys):
+    """The csv module's own errors end in one ``error:`` line, not a traceback."""
+    path = tmp_path / "ratings.csv"
+    path.write_text("user_id,item_id,rating\nu1,i1,4\nu1," + "x" * 140_000 + ",3\n")
+    code = run(["train", "--data", str(path), "--format", "csv", "--mode", "mf",
+                "--out", str(tmp_path / "m.json")])
+    limit = csv.field_size_limit()
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:3: field larger than field limit ({limit})\n"
+    )
+
+
+# the bytes of each line-numbered input with one invalid UTF-8 byte, and its line
+INVALID_UTF8 = {
+    "movielens": (b"u1\ti1\t4\t1\n\xffu2\ti2\t3\t2\n", 2),
+    "csv": (b"user_id,item_id,rating\nu1,i1,4\r\n\ru2,i2\xff,3\n", 4),
+    "item-text": (b'{"item_id": "a", "text": "x"}\n\n{"item_id": "b", "text": "\xff"}\n', 3),
+    "embeddings": (b'{"item_id": "a", "vector": [1.0]}\n{"item_id": "\xff", "vector": [1.0]}\n', 2),
+}
+
+
+@pytest.mark.parametrize("kind", [*INVALID_UTF8, "model"])
+def test_invalid_utf8_fails_naming_file_and_line(kind, trained_mf, tmp_path, capsys):
+    data, model = trained_mf
+    bad, out = tmp_path / "bad", str(tmp_path / "m.json")
+    if kind == "model":
+        content = Path(model).read_bytes().replace(b'"users": ["', b'"users": ["\xff', 1)
+        where = f"{bad}: invalid UTF-8 (invalid start byte)"
+    else:
+        content, line = INVALID_UTF8[kind]
+        where = f"{bad}:{line}: invalid UTF-8 (byte 0xff)"
+    bad.write_bytes(content)
+    argv = {
+        "movielens": ["train", "--data", str(bad), "--format", "movielens100k", "--mode", "mf"],
+        "csv": ["train", "--data", str(bad), "--format", "csv", "--mode", "mf"],
+        "item-text": ["train", "--data", data, "--format", "csv", "--mode", "hybrid",
+                      "--item-text", str(bad)],
+        "embeddings": ["train", "--data", data, "--format", "csv", "--mode", "hybrid",
+                       "--embeddings", str(bad)],
+        "model": ["evaluate", "--model", str(bad), "--data", data, "--format", "csv"],
+    }[kind]
+    code = run(argv if kind == "model" else [*argv, "--out", out])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {where}\n"
 
 
 # ---------------------------------------------------------------- evaluate

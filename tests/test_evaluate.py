@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from rexfuse.dataset import ItemTextCorpus, RatingTriples, build_dataset
+from rexfuse.dataset import (
+    IdIndex,
+    InteractionDataset,
+    ItemTextCorpus,
+    RatingTriples,
+    build_dataset,
+)
 from rexfuse.evaluate import (
     EvalConfig,
     EvalReport,
@@ -70,11 +76,21 @@ def test_topk_matches_full_sort_oracle():
     rng = np.random.default_rng(6)
     scores = rng.normal(size=50)
     scores[7] = scores[31]  # plant a tie
-    model = single_user_model(scores)
-    exclude = set(rng.choice(50, size=8, replace=False).tolist())
-    for k in (1, 5, 20, 60):
-        expected = topk_bruteforce(lambda i: scores[i], 50, k, exclude)
-        assert topk(model, 0, k, exclude=exclude) == expected
+    rows = [
+        scores,
+        # signed zeros, infinities and long runs of repeats; NaN is left out
+        # because the oracle's sorted() cannot order it
+        rng.choice([0.0, -0.0, np.inf, -np.inf, 1.5, -1.5, 1.5], size=50),
+        np.where(rng.random(50) < 0.5, 0.0, -0.0),
+        np.repeat([2.0, -np.inf, 2.0, np.inf, -0.0], 10),
+    ]
+    for row in rows:
+        model = single_user_model(row)
+        exclude = np.sort(rng.choice(50, size=8, replace=False))
+        for k in (1, 5, 20, 60):
+            expected = topk_bruteforce(lambda i: row[i], 50, k, exclude.tolist())
+            assert topk(model, 0, k, exclude=exclude) == expected
+            assert topk(model, 0, k, exclude=set(exclude.tolist())) == expected
 
 
 # ---------------------------------------------------------------- metrics
@@ -192,6 +208,47 @@ def test_evaluate_model_excludes_train_items():
     for u in relevant_users:
         rec = topk(model, u, config.top_k, exclude=train_items.get(u, ()))
         assert not (set(rec) & train_items.get(u, set()))
+
+
+def test_evaluate_model_matches_bruteforce_recount():
+    """The report recounted from the oracles, each user's training items excluded."""
+    n_users, n_items, k = 6, 9, 4
+    rng = np.random.default_rng(21)
+    model = FactorModel(rng.normal(size=(n_users, 3)), rng.normal(size=(n_items, 3)))
+    train_rows = (
+        # user 0 rated 7 of the 9 items, item 2 twice: 2 candidates for a top-4
+        [(0, i, 3.0) for i in range(7)] + [(0, 2, 5.0)]
+        + [(1, 4, 2.0), (1, 4, 4.0), (2, 0, 1.0), (4, 8, 5.0), (5, 1, 3.0), (5, 7, 4.0)]
+    )  # user 3 has no training rows
+    test_rows = [
+        (0, 8, 5.0), (0, 7, 4.0), (1, 3, 4.5), (1, 5, 2.0), (2, 6, 1.0),
+        (3, 1, 5.0), (3, 2, 4.0), (4, 0, 3.9), (5, 3, 4.0), (5, 3, 5.0), (5, 6, 4.5),
+    ]
+    ds = InteractionDataset(
+        IdIndex(str(u) for u in range(n_users)),
+        IdIndex(str(i) for i in range(n_items)),
+        triples(train_rows),
+        RatingTriples.empty(),
+        triples(test_rows),
+    )
+    train_items, relevant = {}, {}
+    for u, i, _ in train_rows:
+        train_items.setdefault(u, set()).add(i)
+    for u, i, r in test_rows:
+        if r >= 4.0:
+            relevant.setdefault(u, set()).add(i)
+    recs = {}
+    for u in relevant:
+        row = model.score_items(u, slice(None))
+        recs[u] = topk_bruteforce(lambda i: row[i], n_items, k, train_items.get(u, ()))
+    precision, recall = precision_recall_bruteforce(recs, relevant)
+    assert evaluate_model(model, ds, EvalConfig(top_k=k)) == EvalReport(
+        precision=precision,
+        recall=recall,
+        coverage=coverage_bruteforce(recs, n_items),
+        rmse=rmse(model, ds.test),
+        n_users_evaluated=len(relevant),
+    )
 
 
 def test_evaluate_model_requires_relevant_users():

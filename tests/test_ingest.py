@@ -105,15 +105,12 @@ def reference_outcome(path):
 def as_csv_outcome(result, tsv, csv):
     """The outcome expected of the CSV rendering, given the MovieLens file's outcome.
 
-    Line numbers move down one for the header, the field-count message does
-    not say "tab-separated", and a decoding error is compared by type only:
-    its byte position moves with the header.
+    Line numbers move down one for the header, and the field-count message
+    does not say "tab-separated".
     """
     if isinstance(result, list):
         return result
     kind, message = result
-    if issubclass(kind, UnicodeDecodeError):
-        return kind, None
     m = re.match(rf"{re.escape(tsv)}:(\d+): (.*)$", message)
     if m is None:
         return kind, message.replace(tsv, csv)
@@ -155,10 +152,7 @@ def test_loaders_agree_with_the_per_line_loop(fuzz_dir, rows, faults, final_newl
         fh.write(render(rows, faults, final_newline, False, "\t"))
     with open(csv, "wb") as fh:
         fh.write(render(rows, faults, final_newline, bom, ","))
-    got = outcome(csv, "csv")
-    if not isinstance(got, list) and issubclass(got[0], UnicodeDecodeError):
-        got = got[0], None
-    assert got == as_csv_outcome(reference_outcome(plain), plain, csv)
+    assert outcome(csv, "csv") == as_csv_outcome(reference_outcome(plain), plain, csv)
 
 
 def test_render_reaches_every_kind_of_fault():
@@ -179,6 +173,24 @@ def test_bulk_path_reads_the_ml100k_stand_in(tmp_path):
     bulk = _parse_movielens_bulk(path)
     assert bulk is not None and len(bulk) == 100_000
     assert bulk == _load_movielens100k(path)
+
+
+@pytest.mark.parametrize(
+    "fmt, content, message",
+    [
+        ("movielens100k", b"1\t2\tx\t4\n\xff5\t6\t1\t7\n", ":1: non-numeric rating 'x'"),
+        ("csv", b"user_id,item_id,rating\n1,2,x\n\xff5,6,1\n", ":2: non-numeric rating 'x'"),
+        ("csv", b"user_id,item_id,rating\n1,2,3\r\xe2\x82,6,1\n", ":3: invalid UTF-8 (byte 0xe2)"),
+    ],
+    ids=["movielens-bad-row-first", "csv-bad-row-first", "csv-cut-sequence-after-lone-cr"],
+)
+def test_invalid_utf8_is_reported_in_line_order(tmp_path, fmt, content, message):
+    """A bad row before the first invalid byte is the one reported, as for any other fault."""
+    path = tmp_path / "ratings"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as info:
+        load_interactions(path, fmt)
+    assert str(info.value) == f"{path}{message}"
 
 
 @pytest.mark.parametrize(

@@ -143,6 +143,14 @@ def _non_numeric_factor(doc):
     doc["item_factors"][0][0] = "x"
 
 
+def _string_factor(doc):
+    doc["user_factors"][0][0] = "0.5"
+
+
+def _boolean_factor(doc):
+    doc["user_factors"][0][1] = True
+
+
 def _huge_int_factor(doc):
     doc["user_factors"][0][0] = 10**400
 
@@ -176,6 +184,8 @@ def _narrow_item_factors(doc):
         (_drop_user_ids, "users"),
         (_drop_user_factors, "user_factors"),
         (_non_numeric_factor, "item_factors"),
+        (_string_factor, "user_factors"),
+        (_boolean_factor, "user_factors"),
         (_huge_int_factor, "user_factors"),
         (_nan_reg, "train_config"),
         (_negative_seed, "train_config"),
@@ -185,7 +195,8 @@ def _narrow_item_factors(doc):
     ],
     ids=[
         "short-item-counts", "fractional-item-count", "negative-item-count",
-        "missing-user-ids", "missing-key", "non-numeric-factor", "huge-int-factor",
+        "missing-user-ids", "missing-key", "non-numeric-factor", "string-factor",
+        "boolean-factor", "huge-int-factor",
         "nan-reg", "negative-seed", "boolean-split-seed", "nan-projection",
         "narrow-item-factors",
     ],
