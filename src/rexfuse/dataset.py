@@ -267,10 +267,15 @@ _CSV_BASE_HEADER = ["user_id", "item_id", "rating"]
 
 
 def _csv_rows(path):
-    """The rows of a CSV file; a line the csv module rejects raises a ``path:line:`` error."""
+    """(line, row) for each record of a CSV file, the line being the record's last.
+
+    A record whose quoted field spans lines is numbered by the line it ends on.
+    A line the csv module rejects raises a ``path:line:`` error.
+    """
     reader = csv.reader(_text_lines(path, "utf-8-sig", newline=""))
     try:
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as exc:  # e.g. a field over the module's size limit
         raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 
@@ -279,7 +284,7 @@ def _load_csv(path) -> Interactions:
     interactions = Interactions()
     reader = _csv_rows(path)
     try:
-        header = next(reader)
+        _, header = next(reader)
     except StopIteration:
         raise ValueError(f"{path}: empty file") from None
     header = [h.strip() for h in header]
@@ -288,7 +293,7 @@ def _load_csv(path) -> Interactions:
         raise ValueError(
             f"{path}:1: expected header user_id,item_id,rating[,timestamp], got {','.join(header)}"
         )
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in reader:
         if not row or all(not f.strip() for f in row):
             continue
         if len(row) != len(header):

@@ -7,9 +7,12 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import InteractionDataset, RatingTriples
+from .dataset import InteractionDataset, RatingTriples, require_int
 from .hybrid import HybridModel, resolve_embeddings, train_hybrid
 from .mf import TrainConfig, _check_index
+
+# users ranked per pass of evaluate_model: a 64 x n_items block of scores
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -24,8 +27,12 @@ class EvalConfig:
     relevance_threshold: float = 4.0
 
     def __post_init__(self):
-        if self.top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
+        require_int("top_k", self.top_k, 1)
+        threshold = self.relevance_threshold
+        if isinstance(threshold, bool) or not (
+            isinstance(threshold, (int, float, np.integer, np.floating)) and math.isfinite(threshold)
+        ):
+            raise ValueError(f"relevance_threshold must be a finite number, got {threshold!r}")
 
 
 @dataclass(frozen=True)
@@ -47,15 +54,30 @@ class EvalReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _ranked(scores: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
-    """The k best of the ascending ``candidates``: highest score first, ties to the lower index.
+def _ranked_rows(scores: np.ndarray, candidates: np.ndarray, k: int) -> list:
+    """The k best candidates of each row: highest score first, ties to the lower index.
 
-    One stable sort on the negated score keeps tied candidates in their
-    ascending order.
+    ``scores`` and the boolean mask ``candidates`` are (rows, n_items); the
+    result is one index array per row.  One partition finds each row's k-th
+    best candidate score, every candidate not worse than it is kept (ties at
+    the k-th place included), and one lexsort orders the kept entries by
+    (row, -score, index): the order of a stable sort on the negated row.  A NaN
+    or infinite threshold keeps the whole row, so NaN scores rank last.  A row
+    with fewer than k candidates gives a shorter list.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return candidates[np.argsort(-scores[candidates], kind="stable")[:k]]
+    neg = -scores
+    neg[~candidates] = np.inf
+    kth = min(k, neg.shape[1]) - 1
+    threshold = np.partition(neg, kth, axis=1)[:, kth, None]
+    rows, items = np.nonzero(candidates & ~(neg > threshold))
+    order = np.lexsort((items, neg[rows, items], rows))
+    rows, items = rows[order], items[order]
+    kept = np.bincount(rows, minlength=len(neg))
+    first = np.cumsum(kept) - kept
+    items = items[np.arange(len(rows)) - first[rows] < k]
+    return np.split(items, np.cumsum(np.minimum(kept, k))[:-1])
 
 
 def topk(model, u: int, k: int, exclude=()) -> list:
@@ -71,7 +93,7 @@ def topk(model, u: int, k: int, exclude=()) -> list:
     _check_index(excluded, model.n_items, "item")
     mask = np.ones(model.n_items, dtype=bool)
     mask[excluded] = False
-    return _ranked(model.score_items(u, slice(None)), np.flatnonzero(mask), k).tolist()
+    return _ranked_rows(model.score_items(u, slice(None))[None], mask[None], k)[0].tolist()
 
 
 def precision_recall(recommendations: dict, test: RatingTriples, threshold: float):
@@ -121,17 +143,26 @@ def evaluate_model(
 
     Produces top-k lists (minus each user's training items), then
     micro-averaged precision/recall, catalog coverage of those lists, and
-    RMSE over all test interactions.
+    RMSE over all test interactions.  Users are ranked in blocks of 64: one
+    ``score_items`` call scores a block's catalogue rows, with the same bits
+    as ``topk``'s one-user rows, and one ``_ranked_rows`` call ranks them.
     """
     test, train, n_items = dataset.test, dataset.train, dataset.n_items
-    users = np.unique(test.users[test.ratings >= config.relevance_threshold]).tolist()
-    # user u's distinct training items, ascending, are seen[offsets[u]:offsets[u + 1]]
-    pairs = np.unique(train.users * n_items + train.items)
+    users = np.unique(test.users[test.ratings >= config.relevance_threshold])
+    # user u's training items, ascending, are seen[offsets[u]:offsets[u + 1]]
+    pairs = np.sort(train.users * n_items + train.items)
     offsets = np.cumsum(np.bincount(pairs // n_items + 1, minlength=dataset.n_users + 1))
     seen = pairs % n_items
-    recommendations = {
-        u: topk(model, u, config.top_k, exclude=seen[offsets[u]:offsets[u + 1]]) for u in users
-    }
+    _check_index(seen, model.n_items, "item")
+    recommendations = {}
+    for start in range(0, len(users), _BLOCK):
+        block = users[start:start + _BLOCK]
+        candidates = np.ones((len(block), model.n_items), dtype=bool)
+        for r, u in enumerate(block.tolist()):
+            candidates[r, seen[offsets[u]:offsets[u + 1]]] = False
+        scores = model.score_items(block[:, None], slice(None))
+        ranked = _ranked_rows(scores, candidates, config.top_k)
+        recommendations.update(zip(block.tolist(), (r.tolist() for r in ranked)))
     precision, recall = precision_recall(recommendations, test, config.relevance_threshold)
     return EvalReport(
         precision=precision,
@@ -180,7 +211,7 @@ def recommend_for_user(model, u: int, k: int, item_train_counts, include_cold=Fa
     scores = model.score_items(u, slice(None))
     if is_hybrid and include_cold:
         scores = np.where(warm, scores, model.semantic_scores(u, slice(None)))
-    ranked = _ranked(scores, np.flatnonzero(warm | include_cold), k)
+    (ranked,) = _ranked_rows(scores[None], (warm | include_cold)[None], k)
     warm_label, cold_label = ("cf+semantic", "cold-start") if is_hybrid else ("cf", "cf")
     return [(int(i), float(scores[i]), warm_label if warm[i] else cold_label) for i in ranked]
 

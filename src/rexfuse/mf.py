@@ -64,7 +64,10 @@ class FactorModel:
         return self.user_factors.shape[1]
 
     def score_items(self, u: int, items: np.ndarray) -> np.ndarray:
-        """Scores for one user against item indices, or ``slice(None)`` for the catalogue."""
+        """Scores for one user against item indices, or ``slice(None)`` for the catalogue.
+
+        ``u`` may also be a column of user indices, giving one row per user.
+        """
         _check_index(u, self.n_users, "user")
         if not isinstance(items, slice):
             _check_index(items, self.n_items, "item")

@@ -182,6 +182,16 @@ def topk_bruteforce(score_of, n_items, k, exclude=()):
     return ranked[:k]
 
 
+def topk_stable_sort(row, candidates, k):
+    """The k best of the masked ``row`` by one stable sort of the negated scores.
+
+    Candidates stay in ascending order, so ties go to the lower index; NaN
+    scores, which ``topk_bruteforce``'s ``sorted`` cannot order, sort last.
+    """
+    pool = np.flatnonzero(candidates)
+    return pool[np.argsort(-np.asarray(row)[pool], kind="stable")[:k]].tolist()
+
+
 def precision_recall_bruteforce(recommendations, relevant_by_user):
     """Per-user hit counting over users that have at least one relevant item."""
     hits = 0

@@ -198,6 +198,16 @@ def test_oversized_csv_field_fails_naming_file_and_line(tmp_path, capsys):
     )
 
 
+def test_csv_error_names_the_line_after_a_multiline_field(tmp_path, capsys):
+    """A quoted id spanning lines 2-3 moves the next record to line 4, and the message says so."""
+    path = tmp_path / "ratings.csv"
+    path.write_text('user_id,item_id,rating\n"u\n1",i1,4\nu2,i2,x\n')
+    code = run(["train", "--data", str(path), "--format", "csv", "--mode", "mf",
+                "--out", str(tmp_path / "m.json")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}:4: non-numeric rating 'x'\n"
+
+
 # the bytes of each line-numbered input with one invalid UTF-8 byte, and its line
 INVALID_UTF8 = {
     "movielens": (b"u1\ti1\t4\t1\n\xffu2\ti2\t3\t2\n", 2),

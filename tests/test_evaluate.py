@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from rexfuse import evaluate
 from rexfuse.dataset import (
     IdIndex,
     InteractionDataset,
@@ -38,6 +41,7 @@ from oracles import (
     recommend_bruteforce,
     rmse_naive,
     topk_bruteforce,
+    topk_stable_sort,
 )
 
 
@@ -91,6 +95,51 @@ def test_topk_matches_full_sort_oracle():
             expected = topk_bruteforce(lambda i: row[i], 50, k, exclude.tolist())
             assert topk(model, 0, k, exclude=exclude) == expected
             assert topk(model, 0, k, exclude=set(exclude.tolist())) == expected
+
+
+def test_ranked_rows_match_the_oracles_on_adversarial_rows():
+    """Ties, signed zeros, infinities, NaN, k past the pool and empty pools, many rows at once."""
+    rng = np.random.default_rng(17)
+    pool = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -1.5, 2.0, 2.0])
+    for trial in range(400):
+        n_rows, n_items = rng.integers(1, 7), rng.integers(1, 14)
+        scores = rng.choice(pool, size=(n_rows, n_items))
+        if trial % 4 == 0:
+            scores[:, rng.integers(n_items)] = np.nan
+        candidates = rng.random((n_rows, n_items)) < rng.choice([0.3, 0.8, 1.0])
+        candidates[0] = candidates[0] & (trial % 5 != 0)  # some pools are empty
+        k = int(rng.integers(1, n_items + 4))
+        ranked = evaluate._ranked_rows(scores, candidates, k)
+        assert len(ranked) == n_rows
+        for row, mask, got in zip(scores, candidates, ranked):
+            expected = topk_stable_sort(row, mask, k)
+            assert got.tolist() == expected
+            assert len(expected) == min(k, int(mask.sum()))
+            if not np.isnan(row).any():
+                excluded = np.flatnonzero(~mask).tolist()
+                assert expected == topk_bruteforce(lambda i: row[i], n_items, k, excluded)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(top_k=0), "top_k must be a positive integer, got 0"),
+        (dict(top_k=2.5), "top_k must be a positive integer, got 2.5"),
+        (dict(top_k=True), "top_k must be a positive integer, got True"),
+        (dict(relevance_threshold=float("nan")), "relevance_threshold must be a finite number, got nan"),
+        (dict(relevance_threshold=float("inf")), "relevance_threshold must be a finite number, got inf"),
+        (dict(relevance_threshold="4"), "relevance_threshold must be a finite number, got '4'"),
+        (dict(relevance_threshold=True), "relevance_threshold must be a finite number, got True"),
+    ],
+)
+def test_eval_config_rejects_bad_fields(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        EvalConfig(**fields)
+
+
+def test_eval_config_accepts_numpy_numbers():
+    config = EvalConfig(top_k=np.int64(3), relevance_threshold=np.float64(3.5))
+    assert (config.top_k, config.relevance_threshold) == (3, 3.5)
 
 
 # ---------------------------------------------------------------- metrics
@@ -249,6 +298,52 @@ def test_evaluate_model_matches_bruteforce_recount():
         rmse=rmse(model, ds.test),
         n_users_evaluated=len(relevant),
     )
+
+
+def evaluated_lists(monkeypatch, model, ds, config):
+    """evaluate_model's top-k lists, as handed to precision_recall."""
+    lists = {}
+
+    def recording(recommendations, test, threshold):
+        lists.update(recommendations)
+        return precision_recall(recommendations, test, threshold)
+
+    monkeypatch.setattr(evaluate, "precision_recall", recording)
+    evaluate_model(model, ds, config)
+    return lists
+
+
+@pytest.mark.parametrize("kind", ["mf", "additive-0.5", "convex-0.3"])
+@pytest.mark.parametrize("n_evaluated", [1, 63, 64, 65, 129])
+def test_evaluate_model_lists_equal_per_user_topk(monkeypatch, kind, n_evaluated):
+    """Ranking 64 users per pass gives each user the list topk gives it alone, at every block edge."""
+    n_users, n_items = 140, 40
+    _, models = random_scoring_models(n_users, n_items, 6, 8, seed=n_evaluated)
+    model = models[kind]
+    rng = np.random.default_rng(n_evaluated)
+    evaluated = np.sort(rng.choice(n_users, n_evaluated, replace=False))
+    train_rows = [
+        (u, int(i), 3.0)
+        for u in range(n_users)
+        for i in rng.choice(n_items, rng.integers(0, n_items + 1), replace=True)
+    ]
+    test_rows = [(int(u), int(rng.integers(n_items)), 5.0) for u in evaluated]
+    test_rows += [(u, 0, 1.0) for u in range(n_users)]  # rated, never relevant
+    ds = InteractionDataset(
+        IdIndex(str(u) for u in range(n_users)),
+        IdIndex(str(i) for i in range(n_items)),
+        triples(train_rows),
+        RatingTriples.empty(),
+        triples(test_rows),
+    )
+    train_items = {}
+    for u, i, _ in train_rows:
+        train_items.setdefault(u, set()).add(i)
+    for k in (1, 5, n_items + 3):
+        lists = evaluated_lists(monkeypatch, model, ds, EvalConfig(top_k=k))
+        assert sorted(lists) == evaluated.tolist()
+        for u, got in lists.items():
+            assert got == topk(model, u, k, exclude=train_items.get(u, ()))
 
 
 def test_evaluate_model_requires_relevant_users():
@@ -462,6 +557,18 @@ def test_every_score_is_its_pair_score_bitwise(kind):
             assert bits(semantic_score(model, u, i)) == bits(semantic[i])
             if i in table:
                 assert bits(predict_cold_start(model, u, i)) == bits(semantic[i])
+
+
+@pytest.mark.parametrize("kind", ["mf", "additive-0.5", "convex-0.3", "additive-0.0"])
+def test_a_block_of_users_scores_with_each_users_bits(kind):
+    """evaluate_model's block scores are the rows topk and recommend score one user at a time."""
+    _, models = random_scoring_models(70, 240, 32, 16, seed=5)
+    model = models[kind]
+    users = np.arange(70)
+    for block in (users[:64], users[64:], users[[3, 9, 40]]):
+        rows = model.score_items(block[:, None], slice(None))
+        for u, row in zip(block.tolist(), rows):
+            assert np.array_equal(bits(row), bits(model.score_items(u, slice(None))))
 
 
 @pytest.mark.parametrize("kind", ["mf", "additive-0.5", "additive-0.0"])
