@@ -52,7 +52,6 @@ from .semantic import (
     embed_hashed_bow,
     fnv1a64,
     load_embeddings_file,
-    project,
 )
 
 __version__ = "0.1.0"

@@ -175,10 +175,6 @@ class ItemTextCorpus:
     def __len__(self) -> int:
         return len(self.texts)
 
-    def get(self, item_index: int) -> str:
-        """Text for an item; missing entries read as empty."""
-        return self.texts.get(item_index, "")
-
 
 def _interaction(path, lineno, user, item, rating, ts) -> Interaction:
     """One parsed input row; a blank timestamp reads as None."""

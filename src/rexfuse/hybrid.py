@@ -62,10 +62,6 @@ class HybridModel:
     def n_items(self) -> int:
         return self.factors.n_items
 
-    def projected_items(self) -> np.ndarray:
-        """(n_items, n_factors) matrix of projected embeddings, zero for items without one."""
-        return self.semantic.item_factors
-
     def semantic_scores(self, u: int, items: np.ndarray) -> np.ndarray:
         """Semantic term P_u.V_i alone: the factor score against the projected catalogue."""
         return self.semantic.score_items(u, items)

@@ -36,12 +36,14 @@ class TrainConfig:
         require_int("n_factors", self.n_factors, 1)
         require_int("epochs", self.epochs, 1)
         require_int("seed", self.seed, 0)
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
-        if not (math.isfinite(self.reg) and self.reg >= 0):
-            raise ValueError(f"reg must be finite and non-negative, got {self.reg}")
-        if not (math.isfinite(self.init_scale) and self.init_scale >= 0):
-            raise ValueError(f"init_scale must be finite and non-negative, got {self.init_scale}")
+        # booleans are not numbers, though math.isfinite takes them as 1 and 0
+        lr, reg, scale = self.learning_rate, self.reg, self.init_scale
+        if isinstance(lr, (bool, np.bool_)) or not (math.isfinite(lr) and lr > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {lr}")
+        if isinstance(reg, (bool, np.bool_)) or not (math.isfinite(reg) and reg >= 0):
+            raise ValueError(f"reg must be finite and non-negative, got {reg}")
+        if isinstance(scale, (bool, np.bool_)) or not (math.isfinite(scale) and scale >= 0):
+            raise ValueError(f"init_scale must be finite and non-negative, got {scale}")
 
 
 @dataclass
@@ -81,7 +83,7 @@ class FactorModel:
 
 def fusion_weights(alpha: float, fusion: str) -> tuple:
     """(cf_w, sem_w) of the fused score cf_w * cf + sem_w * sem; raises on bad alpha or mode."""
-    if not (math.isfinite(alpha) and alpha >= 0):
+    if isinstance(alpha, (bool, np.bool_)) or not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if fusion == FUSION_ADDITIVE:
         return 1.0, alpha

@@ -43,7 +43,13 @@ def save_bundle(bundle: ModelBundle, path) -> None:
         raise ValueError(f"unknown model mode {bundle.mode!r}")
     hybrid = bundle.mode == MODE_HYBRID
     model = bundle.model
+    if isinstance(model, HybridModel) != hybrid:
+        raise ValueError(f"model mode {bundle.mode!r} does not match a {type(model).__name__}")
     factors = model.factors if hybrid else model
+    embeddings = np.full(factors.n_items, None)  # per item: its vector, or null without one
+    if hybrid:
+        table = model.embeddings
+        embeddings[table.items] = np.fromiter(table.vectors.tolist(), object, len(table))
 
     doc = {
         "version": FORMAT_VERSION,
@@ -57,10 +63,7 @@ def save_bundle(bundle: ModelBundle, path) -> None:
         "user_factors": factors.user_factors.tolist(),
         "item_factors": factors.item_factors.tolist(),
         "projection": model.projection.tolist() if hybrid else None,
-        "embeddings": [
-            vec.tolist() if (vec := model.embeddings.get(i)) is not None else None
-            for i in range(factors.n_items)
-        ] if hybrid else None,
+        "embeddings": embeddings.tolist() if hybrid else None,
         "item_train_counts": np.asarray(bundle.item_train_counts).tolist(),
         "train_config": dataclasses.asdict(bundle.config),
         "split_seed": bundle.split_seed,
@@ -138,12 +141,12 @@ def load_bundle(path) -> ModelBundle:
         rows = need("embeddings")
         if not isinstance(rows, list) or len(rows) != n_items:
             raise bad("embeddings", f"must list one vector or null per item ({n_items})")
-        vectors = {i: v for i, v in enumerate(rows) if v is not None}
-        vectors = {i: array(f"embeddings[{i}]", v, (dim,)) for i, v in vectors.items()}
+        present = [i for i, v in enumerate(rows) if v is not None]
+        vectors = array("embeddings", [rows[i] for i in present], (None, dim))
         projection = array("projection", need("projection"), (k, dim))
         alpha, fusion = need("alpha"), need("fusion")
         try:
-            table = ItemEmbeddingTable(dim, vectors)
+            table = ItemEmbeddingTable(np.array(present, np.intp), vectors.reshape(-1, dim))
             model = HybridModel(factors, projection, table, alpha, fusion)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad alpha or fusion ({exc})") from None

@@ -1,11 +1,12 @@
 """Item text embeddings: deterministic hashed bag-of-words and precomputed-file providers."""
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import IdIndex, ItemTextCorpus, json_float_array, read_item_records
+from .mf import _check_index
 
 _FNV64_OFFSET = 0xCBF29CE484222325
 _FNV64_PRIME = 0x100000001B3
@@ -32,43 +33,47 @@ def embed_hashed_bow(text: str, dim: int) -> np.ndarray:
     L2-normalized; text with no tokens gives the zero vector.  The result is
     bit-exact across runs and platforms.
     """
-    return embed_corpus(ItemTextCorpus(texts={0: text}), dim).get(0)
+    return embed_corpus(ItemTextCorpus(texts={0: text}), dim).vectors[0]
 
 
 @dataclass(frozen=True)
 class ItemEmbeddingTable:
-    """Per-item embedding vectors, keyed by dense item index.
+    """Item embeddings as two columns: ``vectors[j]`` embeds dense item index ``items[j]``.
 
     Items without text or without a file entry simply have no row; callers
     treat a missing row as the zero vector.
     """
 
-    dim: int
-    vectors: dict = field(default_factory=dict)
+    items: np.ndarray  # (m,) distinct dense item indices
+    vectors: np.ndarray  # (m, dim) float64
     skipped: int = 0
 
     def __post_init__(self):
-        for idx, vec in self.vectors.items():
-            if vec.shape != (self.dim,):
-                raise ValueError(
-                    f"embedding for item {idx} has length {vec.shape[0]}, expected {self.dim}"
-                )
+        distinct = np.unique(self.items)
+        if self.vectors.ndim != 2 or not (
+            distinct.shape == self.items.shape == self.vectors.shape[:1]
+        ):
+            raise ValueError(
+                f"embedding table needs one vector row per distinct item, got vectors of shape "
+                f"{self.vectors.shape} for items of shape {self.items.shape} "
+                f"({distinct.size} distinct)"
+            )
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.items)
 
     def __contains__(self, item_index) -> bool:
-        return item_index in self.vectors
-
-    def get(self, item_index: int):
-        """Vector for an item, or None when the item has no embedding."""
-        return self.vectors.get(item_index)
+        return item_index in self.items
 
     def dense(self, n_items: int) -> np.ndarray:
         """(n_items, dim) matrix with zero rows for items without embeddings."""
+        _check_index(self.items, n_items, "item")
         out = np.zeros((n_items, self.dim), dtype=np.float64)
-        for idx, vec in self.vectors.items():
-            out[idx] = vec
+        out[self.items] = self.vectors
         return out
 
 
@@ -103,7 +108,7 @@ def embed_corpus(corpus: ItemTextCorpus, dim: int) -> ItemEmbeddingTable:
     # the squared norm of integer counts is exact in any summation order
     norms = np.sqrt(np.vecdot(matrix, matrix))
     matrix /= np.where(norms > 0.0, norms, 1.0)[:, None]
-    return ItemEmbeddingTable(dim=dim, vectors=dict(zip(corpus.texts, matrix)))
+    return ItemEmbeddingTable(np.fromiter(corpus.texts, np.intp, n), matrix)
 
 
 def load_embeddings_file(path, items: IdIndex) -> ItemEmbeddingTable:
@@ -132,17 +137,6 @@ def load_embeddings_file(path, items: IdIndex) -> ItemEmbeddingTable:
     )
     if dim is None:
         raise ValueError(f"{path}: no embeddings found")
-    return ItemEmbeddingTable(dim=dim, vectors=vectors, skipped=skipped)
+    rows = np.reshape(list(vectors.values()), (-1, dim))
+    return ItemEmbeddingTable(np.fromiter(vectors, np.intp, len(vectors)), rows, skipped)
 
-
-def project(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Map an embedding vector into latent space: matrix @ vec.
-
-    ``matrix`` has shape (n_factors, dim); raises on a dimension mismatch.
-    """
-    if matrix.ndim != 2 or vec.ndim != 1 or matrix.shape[1] != vec.shape[0]:
-        raise ValueError(
-            f"cannot project vector of length {vec.shape[0] if vec.ndim == 1 else vec.shape} "
-            f"with matrix of shape {matrix.shape}"
-        )
-    return matrix @ vec

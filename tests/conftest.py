@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from rexfuse.dataset import IdIndex, Interaction, InteractionDataset, RatingTriples, build_dataset
+from rexfuse.semantic import ItemEmbeddingTable
 
 # ``pytest --hypothesis-profile=ci``: the same examples on every run, so a CI
 # failure reproduces locally with the same command.
@@ -18,6 +19,12 @@ def random_interactions(rng, n, n_users=8, n_items=10):
         )
         for _ in range(n)
     ]
+
+
+def embedding_table(dim, vectors):
+    """The ItemEmbeddingTable of ``{item index: vector}``."""
+    rows = np.array(list(vectors.values()), dtype=np.float64).reshape(len(vectors), dim)
+    return ItemEmbeddingTable(np.fromiter(vectors, np.intp, len(vectors)), rows)
 
 
 def dense_dataset(rows, n_users, n_items):

@@ -101,7 +101,7 @@ def test_train_hybrid_from_embeddings_file(fusion_files, embeddings_file, tmp_pa
     table = bundle.model.embeddings
     assert len(table) == len(vectors)
     for item_id, vec in vectors.items():
-        assert table.get(bundle.items.index(item_id)).tolist() == vec
+        assert table.dense(len(bundle.items))[bundle.items.index(item_id)].tolist() == vec
 
 
 def test_sweep_from_embeddings_file(fusion_files, embeddings_file, capsys):
@@ -262,7 +262,7 @@ def test_evaluate_prints_table_and_json_agrees(trained_mf, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
 
-    report = json.loads(open(json_path).read())
+    report = json.loads(Path(json_path).read_text())
     for key in ("precision", "recall", "coverage"):
         assert 0.0 <= report[key] <= 1.0
     assert report["alpha"] is None
@@ -424,7 +424,7 @@ def test_sweep_prints_one_row_per_alpha(fusion_files, tmp_path, capsys):
     lines = captured.out.strip().splitlines()
     assert len(lines) == 4  # header + 3 rows
     assert [l.split()[0] for l in lines[1:]] == ["0.30", "0.50", "0.70"]
-    reports = json.loads(open(json_path).read())
+    reports = json.loads(Path(json_path).read_text())
     assert [r["alpha"] for r in reports] == [0.3, 0.5, 0.7]
 
 

@@ -197,7 +197,7 @@ def test_item_text_maps_to_dense_index(tmp_path):
 def test_item_text_empty_file_gives_empty_corpus(tmp_path):
     corpus = load_item_text(write(tmp_path / "t.jsonl", ""), IdIndex(["a"]))
     assert len(corpus) == 0
-    assert corpus.get(0) == ""
+    assert corpus.texts == {}
 
 
 def test_item_text_unknown_id_skipped_and_counted(tmp_path):

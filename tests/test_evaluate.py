@@ -32,9 +32,9 @@ from rexfuse.hybrid import (
     train_hybrid,
 )
 from rexfuse.mf import FactorModel, TrainConfig, loss_mse, predict_mf, score_pairs, train_mf
-from rexfuse.semantic import ItemEmbeddingTable, embed_corpus
+from rexfuse.semantic import embed_corpus
 
-from conftest import random_interactions
+from conftest import embedding_table, random_interactions
 from oracles import (
     coverage_bruteforce,
     precision_recall_bruteforce,
@@ -357,9 +357,9 @@ def test_evaluate_model_requires_relevant_users():
 def sweep_fixture():
     rng = np.random.default_rng(15)
     ds = build_dataset(random_interactions(rng, 300, n_users=20, n_items=25), split_seed=4)
-    table = ItemEmbeddingTable(
-        dim=6,
-        vectors={i: np.random.default_rng(60 + i).normal(size=6) for i in range(ds.n_items)},
+    table = embedding_table(
+        6,
+        {i: np.random.default_rng(60 + i).normal(size=6) for i in range(ds.n_items)},
     )
     return ds, table
 
@@ -475,7 +475,7 @@ def random_scoring_models(n_users, n_items, k, dim, seed):
     Q[2], vectors[2] = Q[1], vectors[1].copy()
     counts = rng.integers(0, 3, n_items)
     counts[1] = counts[2] = 1
-    table = ItemEmbeddingTable(dim, vectors)
+    table = embedding_table(dim, vectors)
     models = {"mf": FactorModel(P, Q)}
     for fusion, alpha in [("additive", 0.5), ("convex", 0.3), ("additive", 0.0)]:
         models[f"{fusion}-{alpha}"] = HybridModel(FactorModel(P, Q), W, table, alpha, fusion)
@@ -529,7 +529,7 @@ def test_every_score_is_its_pair_score_bitwise(kind):
     rng = np.random.default_rng(8)
     probe = rng.choice(n, 25, replace=False).tolist()
     # the semantic term P_u.V_i, scored the way score_pairs scores P_u.Q_i
-    semantic_model = None if kind == "mf" else FactorModel(P, model.projected_items())
+    semantic_model = None if kind == "mf" else model.semantic
     semantic = None
     for u in range(len(P)):
         pairs = model.predict_pairs(np.full(n, u), every)

@@ -20,9 +20,9 @@ from rexfuse.mf import (
     train_mf,
 )
 from rexfuse.dataset import build_dataset, load_interactions
-from rexfuse.semantic import ItemEmbeddingTable, embed_corpus
+from rexfuse.semantic import embed_corpus
 
-from conftest import dense_dataset, random_interactions
+from conftest import dense_dataset, embedding_table, random_interactions
 from oracles import (
     central_differences,
     dot_naive,
@@ -38,9 +38,7 @@ def make_model(P, Q, W, vectors, alpha, fusion="additive"):
     return HybridModel(
         factors=FactorModel(np.asarray(P, float), np.asarray(Q, float)),
         projection=W,
-        embeddings=ItemEmbeddingTable(
-            dim=W.shape[1], vectors={i: np.asarray(v, float) for i, v in vectors.items()}
-        ),
+        embeddings=embedding_table(W.shape[1], vectors),
         alpha=alpha,
         fusion=fusion,
     )
@@ -84,7 +82,7 @@ def test_semantic_score_matches_naive_oracle():
             expected = dot_naive(
                 model.factors.user_factors[u].tolist(),
                 matvec_naive(
-                    model.projection.tolist(), model.embeddings.get(i).tolist()
+                    model.projection.tolist(), model.embeddings.dense(model.n_items)[i].tolist()
                 ),
             )
             got = semantic_score(model, u, i)
@@ -113,7 +111,7 @@ def test_predict_hybrid_affine_in_alpha():
     for alpha in (0.0, 1.0, 2.0):
         model = make_model(
             base.factors.user_factors, base.factors.item_factors,
-            base.projection, {i: base.embeddings.get(i) for i in range(base.n_items)},
+            base.projection, dict(zip(base.embeddings.items, base.embeddings.vectors)),
             alpha,
         )
         scores[alpha] = np.array(
@@ -180,8 +178,8 @@ def hybrid_toy_dataset():
         for _ in range(50)
     ]
     ds = dense_dataset(rows, 5, 6)
-    table = ItemEmbeddingTable(
-        dim=4, vectors={i: np.random.default_rng(50 + i).normal(size=4) for i in range(6)}
+    table = embedding_table(
+        4, {i: np.random.default_rng(50 + i).normal(size=4) for i in range(6)}
     )
     return ds, table
 
@@ -274,7 +272,7 @@ def wide_hybrid_dataset():
         (int(rng.integers(20)), int(rng.integers(30)), float(rng.integers(1, 6)))
         for _ in range(200)
     ]
-    table = ItemEmbeddingTable(dim=8, vectors={i: rng.normal(size=8) for i in range(30)})
+    table = embedding_table(8, {i: rng.normal(size=8) for i in range(30)})
     return dense_dataset(rows, 20, 30), table
 
 
@@ -353,7 +351,7 @@ def rows_with_repeats(rng, n_rows, n_users, n_items):
 def test_train_hybrid_matches_sequential_reference_with_repeats(fusion, alpha):
     rng = np.random.default_rng(12)
     ds = dense_dataset(rows_with_repeats(rng, 160, 6, 7), 6, 7)
-    table = ItemEmbeddingTable(dim=5, vectors=unit_vectors(rng, range(7), 5))
+    table = embedding_table(5, unit_vectors(rng, range(7), 5))
     cfg = TrainConfig(n_factors=4, learning_rate=0.05, reg=0.1, epochs=6,
                       init_scale=0.5, seed=3)
     assert_train_hybrid_matches_sequential_reference(ds, table, cfg, alpha, fusion)
@@ -365,7 +363,7 @@ def test_train_hybrid_matches_sequential_reference_with_textless_items(fusion, a
     rng = np.random.default_rng(13)
     ds = dense_dataset(rows_with_repeats(rng, 600, 40, 50), 40, 50)
     textful = [i for i in range(50) if i % 3]
-    table = ItemEmbeddingTable(dim=6, vectors=unit_vectors(rng, textful, 6))
+    table = embedding_table(6, unit_vectors(rng, textful, 6))
     cfg = TrainConfig(n_factors=5, learning_rate=0.05, reg=0.1, epochs=5,
                       init_scale=0.5, seed=4)
     assert_train_hybrid_matches_sequential_reference(ds, table, cfg, alpha, fusion)
@@ -377,7 +375,7 @@ def test_train_hybrid_matches_sequential_reference_when_runs_hit_the_cap():
     rng = np.random.default_rng(14)
     rows = [(u, int(i), float(rng.integers(1, 6))) for u, i in enumerate(rng.permutation(300))]
     ds = dense_dataset(rows, 300, 300)
-    table = ItemEmbeddingTable(dim=4, vectors=unit_vectors(rng, range(300), 4))
+    table = embedding_table(4, unit_vectors(rng, range(300), 4))
     cfg = TrainConfig(n_factors=3, learning_rate=0.05, reg=0.1, epochs=3,
                       init_scale=0.5, seed=5)
     assert_train_hybrid_matches_sequential_reference(ds, table, cfg, 0.5, "additive")
@@ -410,6 +408,21 @@ def test_train_hybrid_rejects_bad_alpha_and_fusion():
         train_hybrid(ds, table, TrainConfig(epochs=1), alpha=-1.0)
     with pytest.raises(ValueError):
         train_hybrid(ds, table, TrainConfig(epochs=1), alpha=0.5, fusion="mystery")
+
+
+@pytest.mark.parametrize("alpha", [True, False, np.True_])
+def test_train_hybrid_rejects_boolean_alpha(alpha):
+    ds, table = hybrid_toy_dataset()
+    with pytest.raises(ValueError, match=f"^alpha must be finite and >= 0, got {alpha}$"):
+        train_hybrid(ds, table, TrainConfig(epochs=1), alpha=alpha)
+
+
+@pytest.mark.parametrize("item", [-1, 6])
+def test_train_hybrid_rejects_table_rows_outside_the_catalogue(item):
+    ds, table = hybrid_toy_dataset()  # 6 items
+    outside = embedding_table(table.dim, {0: table.vectors[0], item: table.vectors[1]})
+    with pytest.raises(IndexError, match=rf"^item index {item} out of range \[0, 6\)$"):
+        train_hybrid(ds, outside, TrainConfig(epochs=1), alpha=0.5)
 
 
 def test_model_validates_projection_shape():

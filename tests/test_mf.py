@@ -79,6 +79,15 @@ def test_config_rejects_non_finite_naming_the_field(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("learning_rate", True), ("reg", False), ("init_scale", True), ("reg", np.True_)],
+)
+def test_config_rejects_booleans_as_numbers(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite and .*, got {value}$"):
+        TrainConfig(**{field: value})
+
+
 def test_init_factors_deterministic_and_shaped():
     cfg = TrainConfig(n_factors=4, seed=77)
     a = init_factors(3, 5, cfg)

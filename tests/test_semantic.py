@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from rexfuse.dataset import IdIndex, ItemTextCorpus
+from rexfuse.hybrid import HybridModel, semantic_score
+from rexfuse.mf import FactorModel
 from rexfuse.semantic import (
     ItemEmbeddingTable,
     embed_corpus,
     embed_hashed_bow,
     load_embeddings_file,
-    project,
 )
 
+from conftest import embedding_table
 from make_hashed_bow_golden import embed as embed_reference
 from oracles import dot_naive, matvec_naive
 
@@ -69,9 +71,9 @@ def test_bad_dim_rejected():
 def test_embed_corpus_covers_only_items_with_text():
     corpus = ItemTextCorpus(texts={0: "action", 3: ""})
     table = embed_corpus(corpus, 8)
-    assert set(table.vectors) == {0, 3}
-    assert table.get(1) is None
-    assert not table.get(3).any()  # empty text keeps a zero row
+    assert table.items.tolist() == [0, 3]
+    assert 1 not in table
+    assert not table.vectors[1].any()  # empty text keeps a zero row
 
 
 @pytest.mark.parametrize("dim", [1, 7, 64])
@@ -85,18 +87,17 @@ def test_embed_corpus_equals_per_text_embedding_bitwise(dim):
     texts[3] = "Hello, HELLO! hello..."  # one bucket, several hits
     texts[5] = "--- ,,, !!!"  # no tokens
     table = embed_corpus(ItemTextCorpus(texts=texts), dim)
-    assert set(table.vectors) == set(texts)
-    for idx, text in texts.items():
+    assert table.items.tolist() == list(texts)
+    for vec, text in zip(table.vectors, texts.values()):
         want = np.array(embed_reference(text, dim), dtype=np.float64).tobytes()
-        assert table.get(idx).tobytes() == want, text
+        assert vec.tobytes() == want, text
         assert embed_hashed_bow(text, dim).tobytes() == want, text
 
 
 def test_embed_corpus_without_any_token_gives_float_zero_rows():
     table = embed_corpus(ItemTextCorpus(texts={0: "", 2: "!!"}), 8)
-    for idx in (0, 2):
-        assert table.get(idx).dtype == np.float64
-        assert not table.get(idx).any()
+    assert table.vectors.dtype == np.float64
+    assert not table.vectors.any()
 
 
 def test_embed_corpus_empty_and_bad_dim():
@@ -121,7 +122,7 @@ def test_load_embeddings_two_rows(tmp_path):
     table = load_embeddings_file(path, IdIndex(["a", "b"]))
     assert table.dim == 8
     assert len(table) == 2
-    assert table.get(1).tolist() == [0.5] * 8
+    assert table.dense(2)[1].tolist() == [0.5] * 8
 
 
 def test_load_embeddings_inconsistent_length_names_line(tmp_path):
@@ -169,42 +170,66 @@ def test_load_embeddings_empty_file_errors(tmp_path):
 
 
 def test_table_rejects_wrong_length_vector():
-    with pytest.raises(ValueError, match="length"):
-        ItemEmbeddingTable(dim=3, vectors={0: np.zeros(2)})
+    with pytest.raises(ValueError, match="one vector row per distinct item"):
+        ItemEmbeddingTable(np.array([0]), np.zeros(2))  # a flat vector, not a (1, 2) row
+
+
+@pytest.mark.parametrize(
+    "items, vectors",
+    [([0, 1], np.zeros((3, 2))), ([1, 1], np.zeros((2, 2))), ([[0], [1]], np.zeros((2, 2)))],
+    ids=["extra-row", "repeated-item", "nested-items"],
+)
+def test_table_needs_one_row_per_distinct_item(items, vectors):
+    with pytest.raises(ValueError, match="one vector row per distinct item"):
+        ItemEmbeddingTable(np.array(items), vectors)
 
 
 def test_dense_fills_missing_rows_with_zeros():
-    table = ItemEmbeddingTable(dim=2, vectors={1: np.array([3.0, 4.0])})
+    table = embedding_table(2, {1: np.array([3.0, 4.0])})
     dense = table.dense(3)
     assert dense.shape == (3, 2)
     assert dense[1].tolist() == [3.0, 4.0]
     assert not dense[0].any() and not dense[2].any()
 
 
+@pytest.mark.parametrize("item", [-1, 6])
+def test_dense_rejects_items_outside_the_catalogue(item):
+    table = embedding_table(2, {0: [1.0, 0.0], item: [0.0, 1.0]})
+    with pytest.raises(IndexError) as info:
+        table.dense(6)
+    assert str(info.value) == f"item index {item} out of range [0, 6)"
+
+
 # ---------------------------------------------------------------- projection
 
+def projected(W, table, n_items):
+    """The projected catalogue V = E @ W.T that a hybrid model over ``table`` scores with."""
+    factors = FactorModel(np.zeros((1, W.shape[0])), np.zeros((n_items, W.shape[0])))
+    return HybridModel(factors, W, table, 1.0).semantic.item_factors
+
+
 def test_project_identity():
-    w = np.eye(4)
     e = np.array([1.0, -2.0, 3.0, 0.5])
-    assert project(w, e).tolist() == e.tolist()
+    assert projected(np.eye(4), embedding_table(4, {0: e}), 1)[0].tolist() == e.tolist()
 
 
 def test_project_zero_vector():
-    assert not project(np.ones((3, 5)), np.zeros(5)).any()
+    V = projected(np.ones((3, 5)), embedding_table(5, {0: np.zeros(5)}), 2)  # item 1: no row
+    assert V.shape == (2, 3) and not V.any()
 
 
 def test_project_matches_double_loop_oracle():
     rng = np.random.default_rng(12)
     w = rng.normal(size=(3, 5))
-    e = rng.normal(size=5)
-    expected = matvec_naive(w.tolist(), e.tolist())
-    got = project(w, e)
-    assert np.allclose(got, expected, rtol=1e-12, atol=0)
+    vectors = {i: rng.normal(size=5) for i in range(4)}
+    V = projected(w, embedding_table(5, vectors), 4)
+    for i, e in vectors.items():
+        assert np.allclose(V[i], matvec_naive(w.tolist(), e.tolist()), rtol=1e-12, atol=0)
 
 
 def test_project_dimension_mismatch():
-    with pytest.raises(ValueError, match="project"):
-        project(np.ones((3, 5)), np.ones(4))
+    with pytest.raises(ValueError, match="projection shape"):
+        projected(np.ones((3, 5)), embedding_table(4, {0: np.ones(4)}), 1)
 
 
 def test_project_is_linear():
@@ -212,9 +237,8 @@ def test_project_is_linear():
     w = rng.normal(size=(4, 6))
     x, y = rng.normal(size=6), rng.normal(size=6)
     a, b = 2.5, -1.25
-    combined = project(w, a * x + b * y)
-    separate = a * project(w, x) + b * project(w, y)
-    assert np.allclose(combined, separate, rtol=1e-9, atol=1e-12)
+    V = projected(w, embedding_table(6, {0: x, 1: y, 2: a * x + b * y}), 3)
+    assert np.allclose(V[2], a * V[0] + b * V[1], rtol=1e-9, atol=1e-12)
 
 
 def test_semantic_score_consistency_with_oracles():
@@ -222,5 +246,9 @@ def test_semantic_score_consistency_with_oracles():
     w = rng.normal(size=(3, 5))
     e = rng.normal(size=5)
     p = rng.normal(size=3)
-    expected = dot_naive(p.tolist(), matvec_naive(w.tolist(), e.tolist()))
-    assert abs(float(p @ project(w, e)) - expected) <= 1e-12 * max(1.0, abs(expected))
+    model = HybridModel(FactorModel(p[None], np.zeros((2, 3))), w, embedding_table(5, {1: e}), 1.0)
+    projected = matvec_naive(w.tolist(), e.tolist())
+    assert np.allclose(model.semantic.item_factors[1], projected, rtol=1e-12, atol=0)
+    assert not model.semantic.item_factors[0].any()  # no embedding: the zero vector
+    expected = dot_naive(p.tolist(), projected)
+    assert abs(semantic_score(model, 0, 1) - expected) <= 1e-12 * max(1.0, abs(expected))
