@@ -104,6 +104,15 @@ def fused_factors(model: FactorModel, V, alpha: float, fusion: str) -> FactorMod
     return FactorModel(model.user_factors, cf_w * model.item_factors + sem_w * V)
 
 
+# pairs per einsum when scoring a long pair list: temporaries of O(block * k), not O(N * k)
+_PAIR_BLOCK = 1024
+
+
+def _pair_blocks(n: int):
+    """Slices that cover ``range(n)`` in order, ``_PAIR_BLOCK`` pairs at a time."""
+    return [slice(lo, lo + _PAIR_BLOCK) for lo in range(0, n, _PAIR_BLOCK)]
+
+
 def score_pairs(model: FactorModel, users, items) -> np.ndarray:
     """Score of each (user, item) pair: the dot product P_u.Q_i.
 
@@ -112,9 +121,20 @@ def score_pairs(model: FactorModel, users, items) -> np.ndarray:
     be one index, which broadcasts against ``items``.  Each score is a
     row-wise ``einsum`` dot product, so a pair gets the same bits whatever
     else is scored with it, where a BLAS matrix-vector product would round by
-    batch and position.
+    batch and position.  Two 1-D index arrays of equal length longer than
+    ``_PAIR_BLOCK`` are scored block by block into one output, with those
+    same bits; any other input (broadcasting, a length mismatch) is one call.
     """
-    return np.einsum("...j,...j->...", model.user_factors[users], model.item_factors[items])
+    P, Q = model.user_factors, model.item_factors
+    if not (
+        isinstance(users, np.ndarray) and isinstance(items, np.ndarray)
+        and users.ndim == items.ndim == 1 and len(users) == len(items) > _PAIR_BLOCK
+    ):
+        return np.einsum("...j,...j->...", P[users], Q[items])
+    out = np.empty(len(users), np.result_type(P, Q))
+    for block in _pair_blocks(len(users)):
+        np.einsum("...j,...j->...", P[users[block]], Q[items[block]], out=out[block])
+    return out
 
 
 def _check_index(idx, n, kind):
@@ -229,10 +249,13 @@ def loss_gradients(
     grad_P = scale * reg * user_touches[:, None] * P
     grad_Q = scale * reg * item_touches[:, None] * Q
 
-    np.add.at(grad_P, us, scale * err[:, None] * fused.item_factors[its])
     # per item, the sum of err * P_u over its interactions: drives both Q's and W's gradients
     item_pull = np.zeros_like(Q)
-    np.add.at(item_pull, its, err[:, None] * P[us])
+    # block by block, each target takes its terms in interaction order: the bits of one add.at
+    for block in _pair_blocks(len(data)):
+        u, i, e = us[block], its[block], err[block, None]
+        np.add.at(grad_P, u, scale * e * fused.item_factors[i])
+        np.add.at(item_pull, i, e * P[u])
     grad_Q += scale * cf_w * item_pull
     if projection is None:
         return grad_P, grad_Q, None

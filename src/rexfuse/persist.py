@@ -86,7 +86,7 @@ def load_bundle(path) -> ModelBundle:
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: invalid UTF-8 ({exc.reason})") from None
     version = doc.get("version") if isinstance(doc, dict) else None
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # true and 1.0 equal 1 too
         raise ValueError(
             f"{path}: unsupported model file version {version!r} (expected {FORMAT_VERSION})"
         )

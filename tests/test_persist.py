@@ -106,6 +106,19 @@ def test_version_mismatch_rejected(tmp_path):
         load_bundle(path)
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_version_equal_to_one_but_not_the_integer_rejected(tmp_path, version):
+    _, bundle = mf_bundle()
+    path = tmp_path / "model.json"
+    save_bundle(bundle, path)
+    doc = json.loads(path.read_text())
+    doc["version"] = version
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
+        load_bundle(path)
+    assert str(info.value) == f"{path}: unsupported model file version {version!r} (expected 1)"
+
+
 def test_unknown_mode_rejected(tmp_path):
     _, bundle = mf_bundle()
     path = tmp_path / "model.json"
@@ -328,3 +341,91 @@ def test_save_load_round_trip_is_bitwise(round_trip_dir, bundle):
         assert (loaded.model.alpha, loaded.model.fusion) == (bundle.model.alpha, bundle.model.fusion)
     save_bundle(loaded, second)
     assert second.read_bytes() == first.read_bytes()
+
+
+# ---------------------------------------------------------------- load fuzz
+
+# the fields each mode reads; the optional, free-form ``embedding_provider`` is left out
+MF_FIELDS = ["version", "mode", "n_factors", "users", "items", "user_factors", "item_factors",
+             "item_train_counts", "train_config", "split_seed"]
+HYBRID_FIELDS = MF_FIELDS + ["embedding_dim", "embeddings", "projection", "alpha", "fusion"]
+# nested lists of floats, where one entry is mutated
+FACTOR_FIELDS = {"mf": ["user_factors", "item_factors"],
+                 "hybrid": ["user_factors", "item_factors", "projection", "embeddings"]}
+# a message names its field as ``field 'name'``, or for these fields also like this
+MESSAGE_HEADS = {"version": "unsupported model file version", "mode": "unknown model mode",
+                 "alpha": "bad alpha or fusion (", "fusion": "bad alpha or fusion ("}
+# fewer factor rows read as ids that do not match the rows, which the message names
+ALSO_NAMED = {"user_factors": "users", "item_factors": "items"}
+# one JSON value of each kind: a retyped field takes one of another kind
+KIND_VALUES = {"null": None, "bool": True, "number": 7, "string": "7", "list": [7],
+               "object": {"7": 7}}
+JSON_KINDS = {type(None): "null", bool: "bool", int: "number", float: "number", str: "string",
+              list: "list", dict: "object"}
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@st.composite
+def mutations(draw, doc, mode):
+    """``(field, doc)`` with one field, or one entry of a factor row, dropped, cut short,
+    retyped or made non-finite."""
+    doc = json.loads(json.dumps(doc))
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(MF_FIELDS if mode == "mf" else HYBRID_FIELDS))
+        value, kind = doc[name], JSON_KINDS[type(doc[name])]
+        ops = ["drop", "retype"]
+        ops += ["truncate"] if kind in ("list", "string", "object") and value else []
+        ops += ["non-finite"] if kind == "number" else []
+        op = draw(st.sampled_from(ops))
+        if op == "drop":
+            del doc[name]
+        elif op == "retype":
+            doc[name] = KIND_VALUES[draw(st.sampled_from(sorted(set(KIND_VALUES) - {kind})))]
+        elif op == "non-finite":
+            doc[name] = draw(st.sampled_from(NON_FINITE))
+        elif kind == "object":
+            del value[draw(st.sampled_from(sorted(value)))]
+        else:
+            doc[name] = value[:draw(st.integers(0, len(value) - 1))]
+        return name, doc
+    name = draw(st.sampled_from(FACTOR_FIELDS[mode]))
+    rows = doc[name]
+    row = rows[draw(st.sampled_from([r for r, row in enumerate(rows) if row is not None]))]
+    c = draw(st.integers(0, len(row) - 1))
+    op = draw(st.sampled_from(["drop", "truncate", "retype", "non-finite"]))
+    if op == "drop":
+        del row[c]
+    elif op == "truncate":
+        del row[c:]
+    elif op == "retype":
+        row[c] = KIND_VALUES[draw(st.sampled_from(sorted(set(KIND_VALUES) - {"number"})))]
+    else:
+        row[c] = draw(st.sampled_from(NON_FINITE))
+    return name, doc
+
+
+@pytest.fixture(scope="module")
+def saved_docs(tmp_path_factory):
+    """The directory to write into, and the parsed file of an MF and of a hybrid bundle."""
+    folder = tmp_path_factory.mktemp("load-fuzz")
+    docs = {}
+    for mode, make in (("mf", mf_bundle), ("hybrid", hybrid_bundle)):
+        save_bundle(make()[1], folder / f"{mode}.json")
+        docs[mode] = json.loads((folder / f"{mode}.json").read_text())
+    return folder, docs
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(["mf", "hybrid"]))
+def test_load_rejects_each_mutated_field_in_one_line_naming_it(saved_docs, data, mode):
+    folder, docs = saved_docs
+    name, doc = data.draw(mutations(docs[mode], mode))
+    path = folder / "mutated.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
+        load_bundle(path)
+    message = str(info.value)
+    assert "\n" not in message
+    field = f"field {name!r} "
+    heads = [field, MESSAGE_HEADS.get(name, field), f"field {ALSO_NAMED.get(name, name)!r} "]
+    assert any(message.startswith(f"{path}: {head}") for head in heads), message
