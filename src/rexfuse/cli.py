@@ -13,7 +13,13 @@ from .persist import MODE_HYBRID, MODE_MF, ModelBundle, load_bundle, save_bundle
 from .semantic import embed_corpus, load_embeddings_file
 
 SEED_ENV_VAR = "REXFUSE_SEED"
-DEFAULT_SEED = 42
+# training flag -> (type, TrainConfig field, help); each default is the field's
+TRAINING_FLAGS = {
+    "k": (int, "n_factors", "latent dimension"),
+    "lr": (float, "learning_rate", "learning rate"),
+    "reg": (float, "reg", "regularization"),
+    "epochs": (int, "epochs", "training epochs"),
+}
 
 
 class CliError(Exception):
@@ -21,10 +27,10 @@ class CliError(Exception):
 
 
 def _resolve_seed(flag_value):
-    """--seed, else $REXFUSE_SEED, else the default; a non-negative integer."""
+    """--seed, else $REXFUSE_SEED, else ``TrainConfig.seed``; a non-negative integer."""
     name, raw = "--seed", flag_value
     if raw is None:
-        name, raw = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, DEFAULT_SEED)
+        name, raw = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, TrainConfig.seed)
     try:
         return require_int(name, int(raw), 0)
     except ValueError:
@@ -34,33 +40,19 @@ def _resolve_seed(flag_value):
 def _embedding_source(args, items, requirement):
     """Resolve --item-text / --embeddings into a table plus provider descriptor."""
     if args.item_text:
-        corpus = load_item_text(args.item_text, items)
-        table = embed_corpus(corpus, DEFAULT_EMBED_DIM)
-        if corpus.skipped:
-            print(
-                f"warning: skipped {corpus.skipped} item-text records with unknown ids",
-                file=sys.stderr,
-            )
-        return table, {"kind": "hashed_bow", "dim": DEFAULT_EMBED_DIM}
-    if args.embeddings:
-        table = load_embeddings_file(args.embeddings, items)
-        if table.skipped:
-            print(
-                f"warning: skipped {table.skipped} embeddings with unknown item ids",
-                file=sys.stderr,
-            )
-        return table, {"kind": "file", "path": str(args.embeddings), "dim": table.dim}
-    raise CliError(f"{requirement} requires --item-text or --embeddings")
-
-
-def _train_config(args, seed):
-    return TrainConfig(
-        n_factors=args.k,
-        learning_rate=args.lr,
-        reg=args.reg,
-        epochs=args.epochs,
-        seed=seed,
-    )
+        source = load_item_text(args.item_text, items)
+        table = embed_corpus(source, DEFAULT_EMBED_DIM)
+        provider = {"kind": "hashed_bow", "dim": table.dim}
+        unknown = "item-text records with unknown ids"
+    elif args.embeddings:
+        source = table = load_embeddings_file(args.embeddings, items)
+        provider = {"kind": "file", "path": str(args.embeddings), "dim": table.dim}
+        unknown = "embeddings with unknown item ids"
+    else:
+        raise CliError(f"{requirement} requires --item-text or --embeddings")
+    if source.skipped:
+        print(f"warning: skipped {source.skipped} {unknown}", file=sys.stderr)
+    return table, provider
 
 
 def _index_mismatch(kind, model_index, data_index):
@@ -81,10 +73,28 @@ def _load_dataset(path, fmt, seed):
     return build_dataset(load_interactions(path, fmt), seed)
 
 
-def cmd_train(args) -> int:
+def _training_inputs(args):
+    """The dataset and ``TrainConfig`` of train and sweep: one seed splits and trains."""
     seed = _resolve_seed(args.seed)
     dataset = _load_dataset(args.data, args.format, seed)
-    config = _train_config(args, seed)
+    fields = {field: getattr(args, flag) for flag, (_, field, _) in TRAINING_FLAGS.items()}
+    return dataset, TrainConfig(**fields, seed=seed)
+
+
+def _eval_config(args):
+    return EvalConfig(top_k=args.k_at, relevance_threshold=args.threshold)
+
+
+def _print_reports(args, reports, json_value):
+    """The table of ``reports``; with --json, ``json_value`` as one line of canonical JSON."""
+    print(render_table(reports))
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(json_value, sort_keys=True) + "\n")
+
+
+def cmd_train(args) -> int:
+    dataset, config = _training_inputs(args)
 
     if args.mode == MODE_MF:
         model, losses = train_mf(dataset, config)
@@ -102,7 +112,7 @@ def cmd_train(args) -> int:
         users=dataset.users,
         items=dataset.items,
         config=config,
-        split_seed=seed,
+        split_seed=config.seed,
         item_train_counts=dataset.item_train_counts(),
         embedding_provider=provider,
     )
@@ -123,16 +133,8 @@ def cmd_evaluate(args) -> int:
             raise CliError(f"model/data mismatch: {problem}")
 
     alpha = bundle.model.alpha if bundle.mode == MODE_HYBRID else None
-    report = evaluate_model(
-        bundle.model,
-        dataset,
-        EvalConfig(top_k=args.k_at, relevance_threshold=args.threshold),
-        alpha=alpha,
-    )
-    print(render_table([report]))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
+    report = evaluate_model(bundle.model, dataset, _eval_config(args), alpha=alpha)
+    _print_reports(args, [report], report.to_dict())
     return 0
 
 
@@ -161,23 +163,10 @@ def cmd_sweep(args) -> int:
     if not alphas:
         raise CliError("--alphas must name at least one value")
 
-    seed = _resolve_seed(args.seed)
-    dataset = _load_dataset(args.data, args.format, seed)
+    dataset, config = _training_inputs(args)
     table, _ = _embedding_source(args, dataset.items, "sweep")
-    config = _train_config(args, seed)
-
-    reports = sweep_alpha(
-        dataset,
-        table,
-        config,
-        alphas,
-        EvalConfig(top_k=args.k_at, relevance_threshold=args.threshold),
-    )
-    print(render_table(reports))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump([r.to_dict() for r in reports], fh, sort_keys=True)
-            fh.write("\n")
+    reports = sweep_alpha(dataset, table, config, alphas, _eval_config(args))
+    _print_reports(args, reports, [r.to_dict() for r in reports])
     return 0
 
 
@@ -192,15 +181,14 @@ def _add_data_flags(parser):
 
 
 def _add_training_flags(parser):
-    parser.add_argument("--k", type=int, default=32, help="latent dimension (default 32)")
-    parser.add_argument("--lr", type=float, default=0.005, help="learning rate (default 0.005)")
-    parser.add_argument("--reg", type=float, default=0.02, help="regularization (default 0.02)")
-    parser.add_argument("--epochs", type=int, default=30, help="training epochs (default 30)")
+    for flag, (kind, field, what) in TRAINING_FLAGS.items():
+        default, text = getattr(TrainConfig, field), f"{what} (default %(default)s)"
+        parser.add_argument(f"--{flag}", type=kind, default=default, help=text)
     parser.add_argument(
         "--seed",
         type=int,
         default=None,
-        help=f"split/training seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})",
+        help=f"split/training seed (default: ${SEED_ENV_VAR} or {TrainConfig.seed})",
     )
 
 
@@ -208,6 +196,21 @@ def _add_text_flags(parser):
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--item-text", help="item text JSON-lines file (hashed bag-of-words)")
     group.add_argument("--embeddings", help="precomputed embedding JSON-lines file")
+
+
+def _add_list_flags(parser, written=None):
+    """--k-at; with ``written`` (what --json writes), also --threshold and --json."""
+    parser.add_argument(
+        "--k-at", type=int, default=EvalConfig.top_k, help="list length K (default %(default)s)"
+    )
+    if written:
+        parser.add_argument(
+            "--threshold",
+            type=float,
+            default=EvalConfig.relevance_threshold,
+            help="relevance rating cutoff (default %(default)s)",
+        )
+        parser.add_argument("--json", help=f"also write the {written} as JSON to this path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_text_flags(p_train)
     p_train.add_argument("--mode", required=True, choices=[MODE_MF, MODE_HYBRID])
     p_train.add_argument(
-        "--alpha", type=float, default=0.5, help="fusion weight, hybrid only (default 0.5)"
+        "--alpha", type=float, default=0.5, help="fusion weight, hybrid only (default %(default)s)"
     )
     _add_training_flags(p_train)
     p_train.add_argument("--out", required=True, help="output model file")
@@ -231,17 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="evaluate a saved model on its test split")
     p_eval.add_argument("--model", required=True, help="model file from train")
     _add_data_flags(p_eval)
-    p_eval.add_argument("--k-at", type=int, default=10, help="list length K (default 10)")
-    p_eval.add_argument(
-        "--threshold", type=float, default=4.0, help="relevance rating cutoff (default 4.0)"
-    )
-    p_eval.add_argument("--json", help="also write the report as JSON to this path")
+    _add_list_flags(p_eval, "report")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_rec = sub.add_parser("recommend", help="print top-K items for one user")
     p_rec.add_argument("--model", required=True, help="model file from train")
     p_rec.add_argument("--user", required=True, help="external user id")
-    p_rec.add_argument("--k-at", type=int, default=10, help="list length K (default 10)")
+    _add_list_flags(p_rec)
     p_rec.add_argument(
         "--include-cold",
         action="store_true",
@@ -256,11 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--alphas", required=True, help="comma-separated fusion weights, e.g. 0.3,0.5,0.7"
     )
     _add_training_flags(p_sweep)
-    p_sweep.add_argument("--k-at", type=int, default=10, help="list length K (default 10)")
-    p_sweep.add_argument(
-        "--threshold", type=float, default=4.0, help="relevance rating cutoff (default 4.0)"
-    )
-    p_sweep.add_argument("--json", help="also write the reports as JSON to this path")
+    _add_list_flags(p_sweep, "reports")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

@@ -176,8 +176,8 @@ class ItemTextCorpus:
         return len(self.texts)
 
 
-def _interaction(path, lineno, user, item, rating, ts) -> Interaction:
-    """One parsed input row; a blank timestamp reads as None."""
+def _interaction(path, lineno, user, item, rating, ts="") -> Interaction:
+    """One parsed input row; a blank or missing timestamp reads as None."""
     if not user or not item:
         raise ValueError(f"{path}:{lineno}: empty user or item id")
     try:
@@ -204,18 +204,27 @@ def _text_lines(path, encoding="utf-8", newline=None):
             yield line
 
 
-def _load_movielens100k(path) -> Interactions:
-    """The per-line MovieLens loop: the reference the bulk parser must agree with."""
+def _read_records(path, records, n_fields: int, kind: str) -> Interactions:
+    """Interactions of ``(line, fields)`` records: the row loop of both formats.
+
+    Records whose every field is blank are skipped; the rest must hold ``n_fields``
+    fields.  ``kind`` ("tab-separated " or "") words the field-count message.
+    """
     interactions = Interactions()
-    for lineno, line in enumerate(_text_lines(path), start=1):
-        line = line.rstrip("\n").rstrip("\r")
-        if not line.strip():
+    for lineno, fields in records:
+        if all(not f.strip() for f in fields):
             continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}")
+        if len(fields) != n_fields:
+            raise ValueError(f"{path}:{lineno}: expected {n_fields} {kind}fields, got {len(fields)}")
         interactions.append(_interaction(path, lineno, *fields))
     return interactions
+
+
+def _load_movielens100k(path) -> Interactions:
+    """The per-line MovieLens loop: the reference the bulk parser must agree with."""
+    lines = enumerate(_text_lines(path), start=1)
+    records = ((n, line.rstrip("\n").rstrip("\r").split("\t")) for n, line in lines)
+    return _read_records(path, records, 4, "tab-separated ")
 
 
 def _three_tabs_per_line(data: bytes) -> bool:
@@ -277,26 +286,17 @@ def _csv_rows(path):
 
 
 def _load_csv(path) -> Interactions:
-    interactions = Interactions()
-    reader = _csv_rows(path)
+    records = _csv_rows(path)
     try:
-        _, header = next(reader)
+        _, header = next(records)
     except StopIteration:
         raise ValueError(f"{path}: empty file") from None
     header = [h.strip() for h in header]
-    has_timestamp = header == _CSV_BASE_HEADER + ["timestamp"]
-    if not has_timestamp and header != _CSV_BASE_HEADER:
+    if header not in (_CSV_BASE_HEADER, _CSV_BASE_HEADER + ["timestamp"]):
         raise ValueError(
             f"{path}:1: expected header user_id,item_id,rating[,timestamp], got {','.join(header)}"
         )
-    for lineno, row in reader:
-        if not row or all(not f.strip() for f in row):
-            continue
-        if len(row) != len(header):
-            raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-        ts = row[3] if has_timestamp else ""
-        interactions.append(_interaction(path, lineno, row[0], row[1], row[2], ts))
-    return interactions
+    return _read_records(path, records, len(header), "")
 
 
 def load_interactions(path, format: str = "movielens100k") -> Interactions:
@@ -330,13 +330,22 @@ def require_int(name: str, value, low: int):
     return value
 
 
+def finite_number(value) -> bool:
+    """Whether ``value`` is a finite int or float (numpy's too); a boolean or a string is not."""
+    return (
+        isinstance(value, (int, float, np.integer, np.floating))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 def json_float_array(raw, shape: tuple) -> np.ndarray:
     """Nested JSON lists of numbers as a finite float64 array of ``shape``.
 
-    ``None`` in ``shape`` matches any size.  Only JSON ints and floats count
-    as numbers: numpy alone would read "1.5" and true as 1.5 and 1.0.  A
-    ValueError states the problem for the caller to prefix with the file,
-    line or field it read.
+    The array has exactly ``len(shape)`` axes; ``None`` in ``shape`` matches
+    any size.  Only JSON ints and floats count as numbers: numpy alone would
+    read "1.5" and true as 1.5 and 1.0.  A ValueError states the problem for
+    the caller to prefix with the file, line or field it read.
     """
     if type(raw) is not list:
         raise ValueError("must be a list of numbers")
@@ -353,6 +362,8 @@ def json_float_array(raw, shape: tuple) -> np.ndarray:
         raise ValueError("must be a list of numbers") from None
     except ValueError:  # rows of unequal length
         raise ValueError(f"must have shape {shape}") from None
+    # an empty list has no inner axes to read: they take their size from ``shape``
+    arr = arr.reshape(arr.shape + tuple(s or 0 for s in shape[arr.ndim:]))
     if not all(s in (None, n) for n, s in zip(arr.shape, shape)):
         raise ValueError(f"has shape {arr.shape}, expected {shape}")
     if not np.isfinite(arr).all():

@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import InteractionDataset, RatingTriples, require_int
+from .dataset import InteractionDataset, RatingTriples, finite_number, require_int
 from .hybrid import HybridModel, resolve_embeddings, train_hybrid
 from .mf import TrainConfig, _check_index
 
@@ -29,9 +29,7 @@ class EvalConfig:
     def __post_init__(self):
         require_int("top_k", self.top_k, 1)
         threshold = self.relevance_threshold
-        if isinstance(threshold, bool) or not (
-            isinstance(threshold, (int, float, np.integer, np.floating)) and math.isfinite(threshold)
-        ):
+        if not finite_number(threshold):
             raise ValueError(f"relevance_threshold must be a finite number, got {threshold!r}")
 
 
@@ -89,10 +87,10 @@ def topk(model, u: int, k: int, exclude=()) -> list:
     candidates are picked from it by mask.  ``exclude`` is an int array or
     any iterable of item indices.
     """
-    excluded = np.asarray(exclude if isinstance(exclude, np.ndarray) else list(exclude), np.int64)
+    excluded = np.asarray(exclude if isinstance(exclude, np.ndarray) else list(exclude))
     _check_index(excluded, model.n_items, "item")
     mask = np.ones(model.n_items, dtype=bool)
-    mask[excluded] = False
+    mask[excluded.astype(np.intp)] = False  # an empty list reads as a float array
     return _ranked_rows(model.score_items(u, slice(None))[None], mask[None], k)[0].tolist()
 
 
@@ -180,7 +178,6 @@ def sweep_alpha(
     config: TrainConfig,
     alphas,
     eval_config: EvalConfig = EvalConfig(),
-    fusion: str = "additive",
 ) -> list:
     """Train one hybrid model per fusion weight (same seed) and evaluate each.
 
@@ -192,7 +189,7 @@ def sweep_alpha(
     table = resolve_embeddings(embeddings_source)
     reports = []
     for alpha in alphas:
-        model, _ = train_hybrid(dataset, table, config, alpha, fusion=fusion)
+        model, _ = train_hybrid(dataset, table, config, alpha)
         reports.append(evaluate_model(model, dataset, eval_config, alpha=alpha))
     return reports
 
@@ -218,28 +215,17 @@ def recommend_for_user(model, u: int, k: int, item_train_counts, include_cold=Fa
 
 def render_table(reports) -> str:
     """Aligned text table, one row per report: precision, recall, coverage, rmse."""
-    with_alpha = any(r.alpha is not None for r in reports)
-    header = []
-    if with_alpha:
-        header.append(f"{'alpha':>6}")
-    header += [
-        f"{'precision%':>11}",
-        f"{'recall%':>9}",
-        f"{'coverage%':>10}",
-        f"{'rmse':>8}",
-        f"{'users':>6}",
+    columns = [  # (header, width, cell text of a report)
+        ("precision%", 11, lambda r: f"{100 * r.precision:.2f}"),
+        ("recall%", 9, lambda r: f"{100 * r.recall:.2f}"),
+        ("coverage%", 10, lambda r: f"{100 * r.coverage:.2f}"),
+        ("rmse", 8, lambda r: f"{r.rmse:.4f}"),
+        ("users", 6, lambda r: f"{r.n_users_evaluated:d}"),
     ]
-    lines = ["  ".join(header)]
-    for r in reports:
-        row = []
-        if with_alpha:
-            row.append(f"{'-' if r.alpha is None else format(r.alpha, '.2f'):>6}")
-        row += [
-            f"{100 * r.precision:>11.2f}",
-            f"{100 * r.recall:>9.2f}",
-            f"{100 * r.coverage:>10.2f}",
-            f"{r.rmse:>8.4f}",
-            f"{r.n_users_evaluated:>6d}",
-        ]
-        lines.append("  ".join(row))
-    return "\n".join(lines)
+    if any(r.alpha is not None for r in reports):
+        columns.insert(0, ("alpha", 6, lambda r: "-" if r.alpha is None else f"{r.alpha:.2f}"))
+    rows = [[header for header, _, _ in columns]]
+    rows += [[cell(r) for _, _, cell in columns] for r in reports]
+    return "\n".join(
+        "  ".join(f"{text:>{width}}" for text, (_, width, _) in zip(row, columns)) for row in rows
+    )

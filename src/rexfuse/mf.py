@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import InteractionDataset, RatingTriples, require_int
+from .dataset import InteractionDataset, RatingTriples, finite_number, require_int
 
 FUSION_ADDITIVE = "additive"
 FUSION_CONVEX = "convex"
@@ -36,13 +36,12 @@ class TrainConfig:
         require_int("n_factors", self.n_factors, 1)
         require_int("epochs", self.epochs, 1)
         require_int("seed", self.seed, 0)
-        # booleans are not numbers, though math.isfinite takes them as 1 and 0
         lr, reg, scale = self.learning_rate, self.reg, self.init_scale
-        if isinstance(lr, (bool, np.bool_)) or not (math.isfinite(lr) and lr > 0):
+        if not (finite_number(lr) and lr > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {lr}")
-        if isinstance(reg, (bool, np.bool_)) or not (math.isfinite(reg) and reg >= 0):
+        if not (finite_number(reg) and reg >= 0):
             raise ValueError(f"reg must be finite and non-negative, got {reg}")
-        if isinstance(scale, (bool, np.bool_)) or not (math.isfinite(scale) and scale >= 0):
+        if not (finite_number(scale) and scale >= 0):
             raise ValueError(f"init_scale must be finite and non-negative, got {scale}")
 
 
@@ -83,7 +82,7 @@ class FactorModel:
 
 def fusion_weights(alpha: float, fusion: str) -> tuple:
     """(cf_w, sem_w) of the fused score cf_w * cf + sem_w * sem; raises on bad alpha or mode."""
-    if isinstance(alpha, (bool, np.bool_)) or not (math.isfinite(alpha) and alpha >= 0):
+    if not (finite_number(alpha) and alpha >= 0):
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if fusion == FUSION_ADDITIVE:
         return 1.0, alpha
@@ -138,8 +137,10 @@ def score_pairs(model: FactorModel, users, items) -> np.ndarray:
 
 
 def _check_index(idx, n, kind):
-    """Raise a one-line IndexError naming the first of ``idx`` (index or array) outside [0, n)."""
+    """Raise a one-line IndexError unless ``idx`` (index or array) holds integers in [0, n)."""
     outside = np.asarray(idx)
+    if outside.size and outside.dtype.kind not in "iu":  # a boolean array would read as a mask
+        raise IndexError(f"{kind} indices must be integers, got dtype {outside.dtype}")
     outside = outside[(outside < 0) | (outside >= n)]
     if outside.size:
         raise IndexError(f"{kind} index {outside.flat[0]} out of range [0, {n})")

@@ -122,11 +122,14 @@ def load_bundle(path) -> ModelBundle:
             raise bad(name, f"must list {rows} distinct string ids, one per factor row")
         return IdIndex(raw)
 
+    def factor_rows(name, k):
+        rows = array(name, need(name), (None, k))
+        if not len(rows):  # training makes at least one user and one item
+            raise bad(name, "must hold at least one row")
+        return rows
+
     k = integer("n_factors", 1)
-    factors = FactorModel(
-        user_factors=array("user_factors", need("user_factors"), (None, k)),
-        item_factors=array("item_factors", need("item_factors"), (None, k)),
-    )
+    factors = FactorModel(factor_rows("user_factors", k), factor_rows("item_factors", k))
     n_items = factors.n_items
     users, items = ids("users", factors.n_users), ids("items", n_items)
     counts = need("item_train_counts")
@@ -146,7 +149,7 @@ def load_bundle(path) -> ModelBundle:
         projection = array("projection", need("projection"), (k, dim))
         alpha, fusion = need("alpha"), need("fusion")
         try:
-            table = ItemEmbeddingTable(np.array(present, np.intp), vectors.reshape(-1, dim))
+            table = ItemEmbeddingTable(np.array(present, np.intp), vectors)
             model = HybridModel(factors, projection, table, alpha, fusion)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad alpha or fusion ({exc})") from None
@@ -156,6 +159,8 @@ def load_bundle(path) -> ModelBundle:
         config = TrainConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig)})
     except (KeyError, TypeError, ValueError) as exc:
         raise bad("train_config", f"is invalid ({exc!r})") from None
+    if config.n_factors != k:
+        raise bad("train_config", f"has n_factors {config.n_factors}, but the factors are {k} wide")
     return ModelBundle(
         mode=mode,
         model=model,

@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rexfuse.cli import main
+from rexfuse.cli import _resolve_seed, build_parser, main
 from rexfuse.dataset import build_dataset, load_interactions
+from rexfuse.evaluate import EvalConfig
+from rexfuse.mf import TrainConfig
 from rexfuse.persist import load_bundle
 
 from synth import make_fusion_rows, write_csv, write_item_text_jsonl
@@ -24,6 +26,32 @@ def fusion_files(tmp_path):
 
 def run(argv):
     return main(argv)
+
+
+# ---------------------------------------------------------------- defaults
+
+TRAINING_DEFAULTS = {"k": "n_factors", "lr": "learning_rate", "reg": "reg", "epochs": "epochs"}
+LIST_DEFAULTS = {"k_at": "top_k", "threshold": "relevance_threshold"}
+
+
+def test_cli_defaults_are_the_library_defaults(monkeypatch):
+    """A flag left out means the library's default: the CLI restates none of them."""
+    monkeypatch.delenv("REXFUSE_SEED", raising=False)
+    data = ["--data", "r.csv", "--format", "csv"]
+    parse = build_parser().parse_args
+    train = parse(["train", *data, "--mode", "mf", "--out", "m.json"])
+    sweep = parse(["sweep", *data, "--alphas", "0.5"])
+    evaluate = parse(["evaluate", "--model", "m.json", *data])
+    recommend = parse(["recommend", "--model", "m.json", "--user", "1"])
+    train_config, eval_config = TrainConfig(), EvalConfig()
+    for args in (train, sweep):
+        for flag, field in TRAINING_DEFAULTS.items():
+            assert getattr(args, flag) == getattr(train_config, field), flag
+        assert _resolve_seed(args.seed) == train_config.seed
+    for args in (sweep, evaluate):
+        for flag, field in LIST_DEFAULTS.items():
+            assert getattr(args, flag) == getattr(eval_config, field), flag
+    assert recommend.k_at == eval_config.top_k
 
 
 # ---------------------------------------------------------------- train
@@ -445,3 +473,15 @@ def test_sweep_bad_alphas_fail_cleanly(fusion_files, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "--alphas" in captured.err
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_bad_training_flag_reported_before_the_text_source(fusion_files, tmp_path, capsys,
+                                                           command):
+    """train and sweep build their TrainConfig in one step, before any text is read."""
+    data, _ = fusion_files
+    extra = {"train": ["--mode", "hybrid", "--out", str(tmp_path / "m.json")],
+             "sweep": ["--alphas", "0.5"]}[command]
+    code = run([command, "--data", data, "--format", "csv", "--lr", "0", *extra])
+    assert code == 1
+    assert capsys.readouterr().err == "error: learning_rate must be finite and positive, got 0.0\n"

@@ -600,6 +600,25 @@ def test_out_of_range_item_rejected_naming_the_index(kind, where):
             predict(model, 0, bad)
 
 
+@pytest.mark.parametrize("kind", ["mf", "additive-0.5"])
+def test_non_integer_indices_rejected_naming_the_kind(kind):
+    """A boolean array would index as a mask and a float would be cut to an integer: both raise."""
+    _, models = random_scoring_models(2, 4, 3, 4, seed=9)
+    model = models[kind]
+    message = r"^item indices must be integers, got dtype (bool|float64)$"
+    for items in (np.array([True, False, True, False]), np.array([1.0, 2.0]), 1.7, True):
+        with pytest.raises(IndexError, match=message):
+            model.score_items(0, items)
+    for exclude in (np.array([False, True, False, False]), [1.7], {True}):
+        with pytest.raises(IndexError, match=message):
+            topk(model, 0, 4, exclude=exclude)
+    with pytest.raises(IndexError, match=r"^user indices must be integers, got dtype float64$"):
+        model.predict_pairs(np.array([0.0, 1.0]), np.array([1, 2]))
+    full = topk(model, 0, 4)
+    assert len(full) == 4
+    assert topk(model, 0, 4, exclude=[]) == topk(model, 0, 4, exclude=np.array([])) == full
+
+
 # ---------------------------------------------------------------- reporting
 
 def test_report_json_is_canonical():

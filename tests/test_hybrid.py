@@ -410,7 +410,7 @@ def test_train_hybrid_rejects_bad_alpha_and_fusion():
         train_hybrid(ds, table, TrainConfig(epochs=1), alpha=0.5, fusion="mystery")
 
 
-@pytest.mark.parametrize("alpha", [True, False, np.True_])
+@pytest.mark.parametrize("alpha", [True, False, np.True_, "0.5", None])
 def test_train_hybrid_rejects_boolean_alpha(alpha):
     ds, table = hybrid_toy_dataset()
     with pytest.raises(ValueError, match=f"^alpha must be finite and >= 0, got {alpha}$"):

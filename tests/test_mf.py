@@ -81,7 +81,8 @@ def test_config_rejects_non_finite_naming_the_field(field, value):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("learning_rate", True), ("reg", False), ("init_scale", True), ("reg", np.True_)],
+    [("learning_rate", True), ("reg", False), ("init_scale", True), ("reg", np.True_),
+     ("learning_rate", "0.1"), ("reg", None), ("init_scale", 1j)],
 )
 def test_config_rejects_booleans_as_numbers(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite and .*, got {value}$"):

@@ -1,10 +1,13 @@
 """The verdict logic of ``tools/parity.py``: what counts as a break of the determinism contract."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from synth import make_fusion_rows, write_item_text_jsonl
 
 _spec = importlib.util.spec_from_file_location(
     "parity", Path(__file__).resolve().parents[1] / "tools" / "parity.py"
@@ -89,3 +92,55 @@ def test_dataset_outputs_name_the_array_that_changed(small_dataset):
     head["csv"]["validation.ratings"] = head["csv"]["validation.ratings"] * (1 + 4e-16)
     head["movielens100k"]["item_ids"] = head["movielens100k"]["item_ids"][::-1]
     assert broken(base, head) == {("csv", "validation.ratings"), ("movielens100k", "item_ids")}
+
+
+def cli_outputs():
+    """A few outputs of the ``cli`` mode: text, an exit code and a written file."""
+    return {"cli": {
+        "train mf: stdout": "epoch   1/3  loss 16.473775\nsaved mf model to m.json\n",
+        "train mf: stderr": "",
+        "train mf: exit": 0,
+        "train mf: cli-mf.json": b'{"version": 1, "mode": "mf"}\n',
+        "train --reg nan: cli-nan.json": None,
+    }}
+
+
+@pytest.mark.parametrize(
+    "name, changed",
+    [
+        ("train mf: stdout", "epoch   1/3  loss 16.473776\nsaved mf model to m.json\n"),
+        ("train mf: stderr", " "),
+        ("train mf: exit", 1),
+        ("train mf: cli-mf.json", b'{"version": 1, "mode": "mf"} \n'),
+        ("train --reg nan: cli-nan.json", b""),
+    ],
+)
+def test_one_character_cli_difference_breaks_the_contract(name, changed):
+    """The cli mode has no ulp allowance: a last-digit loss change is a break like any other."""
+    rows = parity.verdicts(cli_outputs(), cli_outputs())
+    assert {text for _, _, text, ok in rows if ok} == {"equal"} and all(ok for *_, ok in rows)
+    head = cli_outputs()
+    head["cli"][name] = changed
+    assert broken(cli_outputs(), head) == {("cli", name)}
+
+
+def test_cli_leg_records_every_run(tmp_path, monkeypatch):
+    """Each run's stdout, stderr and exit code are kept, and the bytes of what it writes."""
+    monkeypatch.setenv("COLUMNS", "80")  # restored afterwards, though cli_outputs sets its own
+    monkeypatch.delenv("REXFUSE_SEED", raising=False)
+    rows, texts = make_fusion_rows(seed=5, n_users=24, n_items=40, rated_per_user=12)
+    with open(tmp_path / "ratings.tsv", "w", encoding="utf-8") as fh:
+        fh.writelines(f"{user}\t{item}\t{rating}\t0\n" for user, item, rating in rows)
+    write_item_text_jsonl(tmp_path / "texts.jsonl", texts)
+    outputs = parity.cli_outputs(tmp_path, ["u0", "u5"])
+    runs = parity.cli_runs(tmp_path, ["u0", "u5"])
+    assert {name.split(": ")[0] for name in outputs} == set(runs)
+    for name in runs:
+        failing = name in ("recommend --k-at 0", "train --reg nan")
+        assert outputs[f"{name}: exit"] == (1 if failing else 0), name
+        assert outputs[f"{name}: stderr"].startswith("error: ") == failing, name
+    assert outputs["train --help: stdout"].startswith("usage: rexfuse train")
+    assert outputs["recommend u5: stdout"].startswith("1,")
+    assert json.loads(outputs["sweep: cli-sweep.json"])[0]["alpha"] == 0.0
+    assert outputs["train mf: cli-mf.json"].startswith(b'{"version": 1, "mode": "mf"')
+    assert outputs["train --reg nan: cli-nan.json"] is None

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rexfuse.dataset import IdIndex, build_dataset
+from rexfuse.dataset import IdIndex, build_dataset, json_float_array
 from rexfuse.hybrid import HybridModel, train_hybrid
 from rexfuse.mf import FactorModel, TrainConfig, train_mf
 from rexfuse.persist import ModelBundle, load_bundle, save_bundle
@@ -221,6 +221,26 @@ def _narrow_item_factors(doc):
     doc["item_factors"] = [row[:-1] for row in doc["item_factors"]]
 
 
+def _empty_users(doc):
+    doc["users"], doc["user_factors"] = [], []
+
+
+def _wide_train_config(doc):
+    doc["train_config"]["n_factors"] = doc["n_factors"] + 12
+
+
+def _string_learning_rate(doc):
+    doc["train_config"]["learning_rate"] = "0.1"
+
+
+def _none_reg(doc):
+    doc["train_config"]["reg"] = None
+
+
+# edits that leave every field well-formed but the document inconsistent
+CONSISTENCY_EDITS = {"user_factors": _empty_users, "train_config": _wide_train_config}
+
+
 @pytest.mark.parametrize(
     "corrupt, field",
     [
@@ -239,13 +259,18 @@ def _narrow_item_factors(doc):
         (_nan_projection, "projection"),
         (_narrow_item_factors, "item_factors"),
         (_boolean_learning_rate, "train_config"),
+        (_empty_users, "user_factors"),
+        (_wide_train_config, "train_config"),
+        (_string_learning_rate, "train_config"),
+        (_none_reg, "train_config"),
     ],
     ids=[
         "short-item-counts", "fractional-item-count", "negative-item-count",
         "missing-user-ids", "missing-key", "non-numeric-factor", "string-factor",
         "boolean-factor", "huge-int-factor",
         "nan-reg", "negative-seed", "boolean-split-seed", "nan-projection",
-        "narrow-item-factors", "boolean-learning-rate",
+        "narrow-item-factors", "boolean-learning-rate", "empty-users", "wide-train-config",
+        "string-learning-rate", "none-reg",
     ],
 )
 def test_malformed_field_rejected_naming_file_and_field(tmp_path, corrupt, field):
@@ -262,6 +287,28 @@ def test_malformed_field_rejected_naming_file_and_field(tmp_path, corrupt, field
     assert "\n" not in message
     if corrupt is _negative_seed:
         assert "seed must be a non-negative integer, got -1" in message
+    if corrupt in (_string_learning_rate, _none_reg):
+        assert "must be finite and" in message
+
+
+def test_string_alpha_rejected_naming_alpha(tmp_path):
+    _, bundle = hybrid_bundle()
+    path = tmp_path / "model.json"
+    save_bundle(bundle, path)
+    doc = json.loads(path.read_text())
+    doc["alpha"] = "0.5"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
+        load_bundle(path)
+    assert str(info.value) == f"{path}: bad alpha or fusion (alpha must be finite and >= 0, got 0.5)"
+
+
+def test_empty_float_list_has_every_axis():
+    """[] read as (None, k) is a (0, k) array, so a table of no vectors keeps its width."""
+    assert json_float_array([], (None, 3)).shape == (0, 3)
+    assert json_float_array([], (None,)).shape == (0,)
+    with pytest.raises(ValueError, match=r"^has shape \(0, 4\), expected \(3, 4\)$"):
+        json_float_array([], (3, 4))
 
 
 # ---------------------------------------------------------------- round-trip fuzz
@@ -368,9 +415,14 @@ NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 @st.composite
 def mutations(draw, doc, mode):
     """``(field, doc)`` with one field, or one entry of a factor row, dropped, cut short,
-    retyped or made non-finite."""
+    retyped or made non-finite, or with one of ``CONSISTENCY_EDITS`` applied."""
     doc = json.loads(json.dumps(doc))
-    if draw(st.booleans()):
+    target = draw(st.sampled_from(["field", "entry", "consistency"]))
+    if target == "consistency":
+        name = draw(st.sampled_from(sorted(CONSISTENCY_EDITS)))
+        CONSISTENCY_EDITS[name](doc)
+        return name, doc
+    if target == "field":
         name = draw(st.sampled_from(MF_FIELDS if mode == "mf" else HYBRID_FIELDS))
         value, kind = doc[name], JSON_KINDS[type(doc[name])]
         ops = ["drop", "retype"]

@@ -13,7 +13,10 @@ top-10 list of every user, the ``recommend`` lists of every 7th user (with
 and without cold items) and the model-file bytes.  It also ingests the
 ratings as a MovieLens file and as a CSV rendering of the same rows, and
 records each dataset's user and item id lists and every train, validation
-and test column.
+and test column.  Its ``cli`` mode runs ``rexfuse.cli.main`` in-process on the
+same files (``COLUMNS`` fixed, ``$REXFUSE_SEED`` unset; see ``cli_runs``) and
+records each run's stdout, stderr, exit code and the bytes of each file it
+writes.
 
 It prints, per mode and output, ``bitwise`` (arrays), ``equal`` (lists,
 reports, file bytes) or the largest difference relative to the largest entry,
@@ -21,14 +24,18 @@ and exits 1 when an output breaks README's determinism contract:
 
 * both datasets, and in every mode P, Q, ``W``, the embeddings and the model
   file, are bitwise equal;
-* in the modes without a semantic term (mf, alpha=0) every output is;
+* in the modes without a semantic term (mf, alpha=0) every output is, and
+  every output of the ``cli`` mode is equal: it holds no alpha > 0 run, since
+  a printed loss there may move in its last digit;
 * at alpha > 0 the reports, top-K lists and ``recommend`` item lists are
   equal, and the losses and scores agree within ``ULP_BOUND`` relative.
 """
 
 import argparse
+import contextlib
 import io
 import math
+import os
 import pickle
 import subprocess
 import sys
@@ -81,6 +88,59 @@ def write_csv_rendering(tsv, csv):
         dst.write("user_id,item_id,rating,timestamp\n")
         for line in src:
             dst.write(line.replace("\t", ","))
+
+
+def cli_runs(data_dir, users):
+    """{run name: argv} of the ``cli`` mode over the ratings and texts in ``data_dir``."""
+    data_dir = Path(data_dir)
+    data = ["--data", str(data_dir / "ratings.tsv"), "--format", "movielens100k"]
+    text = ["--item-text", str(data_dir / "texts.jsonl")]
+    mf, hybrid = str(data_dir / "cli-mf.json"), str(data_dir / "cli-hybrid.json")
+    runs = {"--help": ["--help"]}
+    runs.update({f"{command} --help": [command, "--help"]
+                 for command in ("train", "evaluate", "recommend", "sweep")})
+    runs["train mf"] = ["train", *data, "--mode", "mf", "--epochs", "3", "--out", mf]
+    runs["train hybrid"] = ["train", *data, *text, "--mode", "hybrid", "--alpha", "0",
+                            "--epochs", "3", "--out", hybrid]
+    for name, model in (("mf", mf), ("hybrid", hybrid)):
+        runs[f"evaluate {name}"] = ["evaluate", "--model", model, *data,
+                                    "--json", str(data_dir / f"cli-{name}-report.json")]
+    for user in users:
+        runs[f"recommend {user}"] = ["recommend", "--model", hybrid, "--user", user,
+                                     "--include-cold"]
+    runs["sweep"] = ["sweep", *data, *text, "--alphas", "0", "--epochs", "3",
+                     "--json", str(data_dir / "cli-sweep.json")]
+    runs["recommend --k-at 0"] = ["recommend", "--model", mf, "--user", users[0], "--k-at", "0"]
+    runs["train --reg nan"] = ["train", *data, "--mode", "mf", "--reg", "nan",
+                               "--out", str(data_dir / "cli-nan.json")]
+    return runs
+
+
+def cli_outputs(data_dir, users):
+    """Stdout, stderr, exit code and written files of each ``cli_runs`` run, in order.
+
+    Sets ``COLUMNS`` and unsets ``REXFUSE_SEED`` in this process's environment.
+    """
+    from rexfuse.cli import main
+
+    os.environ["COLUMNS"] = "100"  # argparse wraps --help text to the terminal width
+    os.environ.pop("REXFUSE_SEED", None)
+    outputs = {}
+    for name, argv in cli_runs(data_dir, users).items():
+        written = [Path(argv[i + 1]) for i, flag in enumerate(argv) if flag in ("--out", "--json")]
+        for path in written:
+            path.unlink(missing_ok=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help and argparse errors
+                code = exc.code
+        outputs.update({f"{name}: stdout": stdout.getvalue(), f"{name}: stderr": stderr.getvalue(),
+                        f"{name}: exit": code})
+        for path in written:
+            outputs[f"{name}: {path.name}"] = path.read_bytes() if path.exists() else None
+    return outputs
 
 
 def drive(src, data_dir):
@@ -136,6 +196,7 @@ def drive(src, data_dir):
             model_file=path.read_bytes(),
         )
         results[mode] = outputs
+    results["cli"] = cli_outputs(data_dir, dataset.users.ids[::300])
     return results
 
 
