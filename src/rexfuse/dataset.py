@@ -64,50 +64,103 @@ class IdIndex:
         return list(self._backward)
 
 
-@dataclass
-class Interactions(Sequence):
-    """Interactions as four parallel lists: user ids, item ids, ratings, timestamps.
+def _dictionary(values: list) -> tuple:
+    """The distinct values in first-appearance order, and each value's int64 code."""
+    codes = {}
+    column = np.fromiter((codes.setdefault(v, len(codes)) for v in values), np.int64, len(values))
+    return list(codes), column
 
-    Indexing and iteration yield ``Interaction`` objects, so it reads as the
-    list of rows it stands for; ``build_dataset`` reads the columns directly.
+
+def _timestamp_column(values: list) -> np.ndarray:
+    """Timestamps as int64, or as objects where one is missing or beyond int64."""
+    if all(type(t) is int for t in values):
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    return np.fromiter(values, object, len(values))
+
+
+@dataclass(eq=False)
+class Interactions(Sequence):
+    """Interactions as dictionary-encoded columns.
+
+    Each id column is its distinct ids in first-appearance order (``user_ids``,
+    ``item_ids``) and an int64 code per row into them (``user_codes``,
+    ``item_codes``); ``rating_column`` is float64 and ``timestamp_column`` int64,
+    or object when a timestamp was missing or beyond int64.  ``users``,
+    ``items``, ``ratings`` and ``timestamps`` are the columns as lists, and
+    indexing and iteration yield ``Interaction`` rows, so it reads as the list
+    of rows it stands for.  ``build_dataset`` reads the encoded columns as they
+    are.
     """
 
-    users: list = field(default_factory=list)
-    items: list = field(default_factory=list)
-    ratings: list = field(default_factory=list)
-    timestamps: list = field(default_factory=list)
+    user_ids: list
+    user_codes: np.ndarray
+    item_ids: list
+    item_codes: np.ndarray
+    rating_column: np.ndarray
+    timestamp_column: np.ndarray
 
     @classmethod
     def of(cls, interactions) -> "Interactions":
         """A sequence of ``Interaction`` rows as columns; columns are returned as they are."""
         if isinstance(interactions, cls):
             return interactions
+        rows = list(interactions)
         return cls(
-            [x.user for x in interactions],
-            [x.item for x in interactions],
-            [x.rating for x in interactions],
-            [x.timestamp for x in interactions],
+            *_dictionary([x.user for x in rows]),
+            *_dictionary([x.item for x in rows]),
+            np.fromiter((x.rating for x in rows), np.float64, len(rows)),
+            _timestamp_column([x.timestamp for x in rows]),
         )
 
     def append(self, interaction: Interaction) -> None:
-        self.users.append(interaction.user)
-        self.items.append(interaction.item)
-        self.ratings.append(interaction.rating)
-        self.timestamps.append(interaction.timestamp)
+        """Add one row.  Each call encodes every column again: build many rows with ``of``."""
+        vars(self).update(vars(Interactions.of([*self, interaction])))
+
+    @property
+    def users(self) -> list:
+        return list(map(self.user_ids.__getitem__, self.user_codes.tolist()))
+
+    @property
+    def items(self) -> list:
+        return list(map(self.item_ids.__getitem__, self.item_codes.tolist()))
+
+    @property
+    def ratings(self) -> list:
+        return self.rating_column.tolist()
+
+    @property
+    def timestamps(self) -> list:
+        return self.timestamp_column.tolist()
 
     def _columns(self) -> tuple:
         return self.users, self.items, self.ratings, self.timestamps
 
     def __len__(self) -> int:
-        return len(self.users)
+        return len(self.user_codes)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Interactions(*(column[index] for column in self._columns()))
-        return Interaction(*(column[index] for column in self._columns()))
+            return Interactions(
+                *_dictionary(self.users[index]),
+                *_dictionary(self.items[index]),
+                self.rating_column[index],
+                self.timestamp_column[index],
+            )
+        return Interaction(
+            self.user_ids[self.user_codes.item(index)],
+            self.item_ids[self.item_codes.item(index)],
+            self.rating_column.item(index),
+            self.timestamp_column.item(index),
+        )
 
     def __iter__(self):
         return map(Interaction, *self._columns())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Interactions) and self._columns() == other._columns()
 
 
 @dataclass(frozen=True)
@@ -210,14 +263,14 @@ def _read_records(path, records, n_fields: int, kind: str) -> Interactions:
     Records whose every field is blank are skipped; the rest must hold ``n_fields``
     fields.  ``kind`` ("tab-separated " or "") words the field-count message.
     """
-    interactions = Interactions()
+    rows = []
     for lineno, fields in records:
         if all(not f.strip() for f in fields):
             continue
         if len(fields) != n_fields:
             raise ValueError(f"{path}:{lineno}: expected {n_fields} {kind}fields, got {len(fields)}")
-        interactions.append(_interaction(path, lineno, *fields))
-    return interactions
+        rows.append(_interaction(path, lineno, *fields))
+    return Interactions.of(rows)
 
 
 def _load_movielens100k(path) -> Interactions:
@@ -227,12 +280,127 @@ def _load_movielens100k(path) -> Interactions:
     return _read_records(path, records, 4, "tab-separated ")
 
 
-def _three_tabs_per_line(data: bytes) -> bool:
-    """Whether every ``\\n``-separated line of ``data`` holds exactly three tab bytes."""
-    raw = np.frombuffer(data, dtype=np.uint8)
-    line_ends = np.append(np.flatnonzero(raw == ord("\n")), len(raw))
-    tabs_before = np.searchsorted(np.flatnonzero(raw == ord("\t")), line_ends)
-    return bool(np.all(np.diff(tabs_before, prepend=0) == 3))
+_POW10 = np.array([float(10**k) for k in range(16)])  # exact: each is below 2**53
+
+
+def _equal_byte_groups(raw, start, width: int) -> tuple:
+    """Group the ``width``-byte strings that start at ``start``.
+
+    Returns (row order that puts equal strings together, mask of each group's
+    first row in that order).  The strings are sorted four bytes at a time,
+    least significant word first, each pass one ``np.sort`` of the word above
+    the row's position (so fewer than 2**32 strings), and within a group the
+    rows keep their file order.
+    """
+    n = len(start)
+    words = []
+    for j in range(0, width, 4):
+        word = np.zeros(n, dtype=np.uint64)
+        for k in range(j, min(j + 4, width)):
+            word |= raw[start + k].astype(np.uint64) << np.uint64(32 + 8 * (k - j))
+        words.append(word)
+    position = np.arange(n, dtype=np.uint64)
+    order = position
+    for word in words:
+        keyed = word[order] | position
+        keyed.sort()
+        order = order[keyed & np.uint64(0xFFFFFFFF)]
+    first = np.zeros(n, dtype=bool)
+    first[0] = True
+    for word in words:
+        in_order = word[order]
+        first[1:] |= in_order[1:] != in_order[:-1]
+    return order, first
+
+
+def _encode_ids(data: bytes, raw, start, end) -> tuple:
+    """Dictionary encoding of the fields ``data[start:end]``: (distinct ids, int64 codes).
+
+    The ids are decoded once each, in first-appearance order.  Fields of
+    different lengths differ; fields of one length are grouped byte for byte.
+    An empty field raises ValueError.
+    """
+    length = end - start
+    if not length.all():
+        raise ValueError("empty id")
+    codes = np.empty(len(start), dtype=np.int64)
+    firsts = []
+    n_distinct = 0
+    for width in np.flatnonzero(np.bincount(length)).tolist():
+        rows = np.flatnonzero(length == width)
+        order, first = _equal_byte_groups(raw, start[rows], width)
+        codes[rows[order]] = np.cumsum(first) - 1 + n_distinct
+        firsts.append(rows[order[first]])
+        n_distinct += len(firsts[-1])
+    first_rows = np.concatenate(firsts)  # the row where each code first appears
+    order = np.argsort(first_rows)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    bounds = zip(start[first_rows[order]].tolist(), end[first_rows[order]].tolist())
+    return [data[lo:hi].decode("utf-8") for lo, hi in bounds], rank[codes]
+
+
+def _plain_decimals(raw, start, end, max_digits: int, point: bool) -> tuple:
+    """ASCII-digit fields read vectorised: (their digits as one integer, digits after the point, read).
+
+    A field is read when it holds 1 to ``max_digits`` digits and, if ``point``,
+    at most one '.'; ``read`` marks those fields.  The fields are read
+    right-aligned, a shorter field reading leading zeros.
+    """
+    length = end - start
+    n = len(end)
+    mantissa = np.zeros(n, dtype=np.int64)
+    after = np.zeros(n, dtype=np.int64)
+    points = np.zeros(n, dtype=np.int64)
+    read = np.ones(n, dtype=bool)
+    shortest = int(length.min())
+    for j in reversed(range(min(int(length.max()), max_digits + point))):
+        byte = raw[end - 1 - j]  # index -1 - j at most, which numpy reads from the end
+        if j >= shortest:
+            byte = np.where(length > j, byte, np.uint8(ord("0")))
+        digit = byte - np.uint8(ord("0"))
+        if point:
+            is_point = byte == ord(".")
+            points += is_point
+            after += j * is_point
+            read &= (digit < 10) | is_point
+            mantissa = np.where(is_point, mantissa, mantissa * 10 + digit)
+        else:
+            read &= digit < 10
+            mantissa *= 10
+            mantissa += digit
+    n_digits = length - points
+    read &= (n_digits >= 1) & (n_digits <= max_digits) & (points <= 1)
+    after[~read] = 0  # several points may sum past the table of powers
+    return mantissa, after, read
+
+
+def _unread_values(data: bytes, start, end, read, parse) -> tuple:
+    """(rows, values) of the fields not ``read``, each converted by ``parse`` on its text."""
+    rows = np.flatnonzero(~read).tolist()
+    bounds = zip(start[rows].tolist(), end[rows].tolist())
+    return rows, [parse(data[lo:hi].decode("utf-8")) for lo, hi in bounds]
+
+
+def _ratings(data: bytes, raw, start, end) -> np.ndarray:
+    """The float64 ratings ``data[start:end]``; ``float`` errors raise."""
+    mantissa, after, read = _plain_decimals(raw, start, end, 15, True)
+    ratings = mantissa / _POW10[after]
+    rows, values = _unread_values(data, start, end, read, float)
+    ratings[rows] = values
+    return ratings
+
+
+def _timestamps(data: bytes, raw, start, end) -> np.ndarray:
+    """The timestamps ``data[start:end]``, int64 or (beyond int64) object; ``int`` errors raise."""
+    timestamps, _, read = _plain_decimals(raw, start, end, 18, False)
+    rows, values = _unread_values(data, start, end, read, int)
+    try:
+        timestamps[rows] = values
+    except OverflowError:  # a timestamp beyond int64: the column holds Python ints
+        timestamps = timestamps.astype(object)
+        timestamps[rows] = values
+    return timestamps
 
 
 def _parse_movielens_bulk(path) -> Optional[Interactions]:
@@ -241,31 +409,53 @@ def _parse_movielens_bulk(path) -> Optional[Interactions]:
     The bulk path takes only files whose every line holds exactly three tabs,
     with no ``\\r``, valid UTF-8, non-empty ids, a finite rating and an integer
     timestamp; a blank or whitespace-only line fails the tab count or the
-    rating conversion.  Ratings and timestamps go through ``float`` and
-    ``int``, the per-line loop's own parsers, so the accepted syntax is the
-    same.  On any other file the caller runs ``_load_movielens100k``, which
-    skips blank lines and raises the ``path:line:`` message.
+    rating conversion.  The file is read as bytes: field bounds come from the
+    tab and newline bytes, and ids are dictionary-encoded byte for byte and
+    decoded once per distinct id.  Ratings of at most 15 ASCII digits and one
+    '.' are read as integer / 10^d (both exact below 2**53, so the quotient is
+    correctly rounded, as ``float`` rounds), timestamps of at most 18 ASCII
+    digits as integers; any other value goes through ``float`` or ``int``, the
+    per-line loop's own parsers, so the accepted syntax is the same.  On any other file the caller runs
+    ``_load_movielens100k``, which skips blank lines and raises the
+    ``path:line:`` message.
     """
     with open(path, "rb") as fh:
         data = fh.read()
+    raw = np.frombuffer(data, dtype=np.uint8)
     if data.endswith(b"\n"):
-        data = data[:-1]
-    if b"\r" in data or not _three_tabs_per_line(data):
+        raw = raw[:-1]
+    if b"\r" in data:
         return None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    is_separator = raw == ord("\t")
+    is_separator |= raw == ord("\n")
+    offset = np.int32 if len(raw) < 2**31 - 1 else np.int64
+    separators = np.flatnonzero(is_separator).astype(offset)
+    del is_separator
+    newline = raw[separators] == ord("\n")
+    n = (len(separators) + 1) // 4
+    if len(separators) % 4 != 3 or not newline[3::4].all() or np.count_nonzero(newline) != n - 1:
+        return None
+    del newline
+    # the field f of the file spans bounds[f] + 1 .. bounds[f + 1]; row r holds fields 4r..4r+3
+    bounds = np.concatenate([np.array([-1], offset), separators, np.array([len(raw)], offset)])
+    del separators
+
+    def column(k):
+        return data, raw, bounds[k : 4 * n : 4] + 1, bounds[k + 1 :: 4]
+
     try:
-        fields = data.decode("utf-8").replace("\n", "\t").split("\t")
-    except UnicodeDecodeError:
+        users, items = _encode_ids(*column(0)), _encode_ids(*column(1))
+        ratings, timestamps = _ratings(*column(2)), _timestamps(*column(3))
+    except ValueError:  # an empty id, or a value that float or int rejects
         return None
-    users, items, ratings, timestamps = (fields[k::4] for k in range(4))
-    del fields, data  # so each column of number strings is freed once converted
-    try:
-        ratings = list(map(float, ratings))
-        timestamps = list(map(int, timestamps))
-    except ValueError:
+    if not np.isfinite(ratings).all():
         return None
-    if not (all(users) and all(items) and all(map(math.isfinite, ratings))):
-        return None
-    return Interactions(users, items, ratings, timestamps)
+    return Interactions(*users, *items, ratings, timestamps)
 
 
 _CSV_BASE_HEADER = ["user_id", "item_id", "rating"]
@@ -396,14 +586,10 @@ def build_dataset(interactions, split_seed: int) -> InteractionDataset:
     if n < 3:
         raise ValueError(f"need at least 3 interactions to split, got {n}")
 
-    users = IdIndex(columns.users)
-    items = IdIndex(columns.items)
-    u = users.indices(columns.users)
-    i = items.indices(columns.items)
-    r = np.array(columns.ratings, dtype=np.float64)
-
+    users = IdIndex(columns.user_ids)
+    items = IdIndex(columns.item_ids)
     perm = np.random.default_rng(split_seed).permutation(n)
-    u, i, r = u[perm], i[perm], r[perm]
+    u, i, r = columns.user_codes[perm], columns.item_codes[perm], columns.rating_column[perm]
 
     n_train, n_val, _ = split_sizes(n)
     cut1, cut2 = n_train, n_train + n_val

@@ -371,9 +371,11 @@ def sgd_epochs(model: FactorModel, train: RatingTriples, config: TrainConfig, lo
             order = epoch_shuffle(config.seed, epoch, len(tu))
             if sem_w == 0.0:
                 levels = conflict_free_levels(tu[order], ti[order], len(P), len(Q))
-                order = order[np.argsort(levels, kind="stable")]
+                # a stable sort of uint16 keys is a radix sort: the same order, several times faster
+                keys = levels.astype(np.uint16) if levels.max(initial=0) < 1 << 16 else levels
+                order = order[np.argsort(keys, kind="stable")]
                 bounds = np.cumsum(np.bincount(levels)).tolist()
-                del levels
+                del levels, keys
                 for lo, hi in zip(bounds, bounds[1:]):
                     batch = order[lo:hi]
                     u, i = tu[batch], ti[batch]

@@ -7,6 +7,7 @@ type and message (for CSV, the message of the row one line further down).
 """
 
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -247,6 +248,20 @@ def test_interactions_index_and_iterate_as_rows():
     assert columns[2] == Interaction("w", "k", 1.0, None)
 
 
+def test_slices_and_appends_keep_the_encoding_canonical():
+    columns = Interactions.of([Interaction(u, i, 1.0, t) for u, i, t in
+                               [("a", "x", 1), ("b", "y", None), ("c", "x", 2**70), ("b", "z", 4)]])
+    assert (columns.user_ids, columns.user_codes.tolist()) == (["a", "b", "c"], [0, 1, 2, 1])
+    assert columns.timestamp_column.dtype == object
+    tail = columns[2:]
+    assert (tail.user_ids, tail.user_codes.tolist()) == (["c", "b"], [0, 1])
+    assert (tail.item_ids, tail.item_codes.tolist()) == (["x", "z"], [0, 1])
+    tail.append(Interaction("a", "x", 2.5, 9))
+    assert (tail.user_ids, tail.user_codes.tolist()) == (["c", "b", "a"], [0, 1, 2])
+    assert tail.timestamps == [2**70, 4, 9]
+    assert tail[-1] == Interaction("a", "x", 2.5, 9) and len(columns) == 4
+
+
 def test_id_index_indices_match_index():
     idx = IdIndex(["b", "a", "b", "c"])
     got = idx.indices(["c", "a", "b", "b"])
@@ -256,13 +271,127 @@ def test_id_index_indices_match_index():
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(3, 80), st.integers(0, 2**16))
-def test_build_dataset_matches_per_row_reference(data_seed, n, split_seed):
+def test_build_dataset_matches_per_row_reference(fuzz_dir, data_seed, n, split_seed):
     rows = random_interactions(np.random.default_rng(data_seed), n)
     user_ids, item_ids, splits = build_dataset_reference(rows, split_seed)
-    for given_rows in (rows, Interactions.of(rows)):
+    path = fuzz_dir / "encoded.data"
+    path.write_text("".join(f"{x.user}\t{x.item}\t{x.rating}\t0\n" for x in rows), encoding="utf-8")
+    encoded = _parse_movielens_bulk(path)  # the columns as the byte parser encodes them
+    assert encoded is not None
+    for given_rows in (rows, Interactions.of(rows), encoded):
         ds = build_dataset(given_rows, split_seed)
         assert (ds.users.ids, ds.items.ids) == (user_ids, item_ids)
         for part, want in zip((ds.train, ds.validation, ds.test), splits):
             for got, expected in zip((part.users, part.items, part.ratings), want):
                 assert got.dtype == expected.dtype
                 assert got.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------- adversarial ids and values
+
+def movielens_file(path, rows, prefix=b""):
+    """Write ``rows`` of four str fields as a MovieLens file, after the bytes ``prefix``."""
+    path.write_bytes(prefix + "".join("\t".join(row) + "\n" for row in rows).encode("utf-8"))
+    return path
+
+
+def interleaved(ids, repeats=3):
+    """Rows that name each id as user and as item, ``repeats`` times, in a shifting order."""
+    return [[ids[(k + r) % len(ids)], ids[(3 * k + r) % len(ids)], str(1 + k % 5), str(k)]
+            for r in range(repeats) for k in range(len(ids))]
+
+
+def width(n, fill="w"):
+    """An ASCII id of ``n`` bytes that ends in ``fill``."""
+    return str(n % 10) * (n - 1) + fill if n > 1 else fill
+
+
+ID_CASES = {
+    "widths 1-300": [width(n) for n in (1, 7, 8, 9, 16, 300)] + [width(n, "v") for n in (8, 9, 16)],
+    "trailing NUL": ["1", "1\x00", "1\x00\x00", "\x001", "\x00"],
+    "16-byte prefix": ["p" * 16, "p" * 16 + "a", "p" * 16 + "b", "p" * 15 + "q" + "a", "p" * 17],
+    "leading zeros and spaces": ["1", "01", "1 ", " 1", "001", "10"],
+    "multibyte": ["ä", "a", "日本", "日", "😀", "e\u0301", "\u00e9", "\u0100", "\u0101"],
+}
+VALUE_CASES = {
+    "ratings": ["4.5", "0.1", "1e3", "12345678901234567", "123456789012345", "1234567890123456",
+                ".5", "5.", "0.000000000000001", "3.14159265358979", "007", "1_0", " 3 ", "٣"],
+    "timestamps": ["9" * 18, "9" * 19, "9223372036854775807", "9223372036854775808",
+                   "1" + "0" * 24, "-5", "+3", "007", " 7 "],
+}
+
+
+def assert_same_rows(bulk, path):
+    """``bulk`` holds the per-line loop's rows of ``path``, ratings bitwise, timestamp types too."""
+    expected = _load_movielens100k(path)
+    assert list(bulk) == list(expected)
+    assert np.array(bulk.ratings).tobytes() == np.array(expected.ratings).tobytes()
+    assert [type(t) for t in bulk.timestamps] == [type(t) for t in expected.timestamps]
+    # the encoding build_dataset reads: each distinct id once, in first-appearance order
+    for ids, column in ((bulk.user_ids, bulk.users), (bulk.item_ids, bulk.items)):
+        assert ids == list(dict.fromkeys(column))
+
+
+@pytest.mark.parametrize("case", ID_CASES)
+def test_bulk_encodes_adversarial_ids_as_the_loop_reads_them(tmp_path, case):
+    path = movielens_file(tmp_path / "u.data", interleaved(ID_CASES[case]))
+    bulk = _parse_movielens_bulk(path)
+    assert bulk is not None
+    assert_same_rows(bulk, path)
+    assert sorted(bulk.user_ids) == sorted(bulk.item_ids) == sorted(set(ID_CASES[case]))
+
+
+def test_bulk_keeps_a_bom_in_the_first_user_id(tmp_path):
+    path = movielens_file(tmp_path / "u.data", interleaved(["1", "2"]), prefix=b"\xef\xbb\xbf")
+    bulk = _parse_movielens_bulk(path)
+    assert bulk is not None
+    assert_same_rows(bulk, path)
+    assert bulk.user_ids == ["\ufeff1", "2", "1"]
+
+
+def test_bulk_encodes_more_than_65536_distinct_users(tmp_path):
+    users = [str(k) for k in range(70_000)]
+    rows = [[users[(k * 7919) % len(users)], str(k % 3), "3", "1"] for k in range(len(users))]
+    path = movielens_file(tmp_path / "u.data", rows + rows[:5000])
+    bulk = _parse_movielens_bulk(path)
+    assert bulk is not None and len(bulk.user_ids) == 70_000
+    assert_same_rows(bulk, path)
+
+
+@pytest.mark.parametrize("field", VALUE_CASES)
+def test_bulk_converts_adversarial_values_as_the_loop_does(tmp_path, field):
+    column = 2 if field == "ratings" else 3
+    rows = []
+    for k, value in enumerate(VALUE_CASES[field]):
+        row = [f"u{k}", f"i{k}", "3", "5"]
+        row[column] = value
+        rows.append(row)
+    path = movielens_file(tmp_path / "u.data", rows)
+    bulk = _parse_movielens_bulk(path)
+    assert bulk is not None
+    assert_same_rows(bulk, path)
+
+
+@pytest.mark.parametrize("rating", ["9" * 400, ".", "1..5", "-", "4.5.", "", "1.2.3.4.5.6.7.8"])
+def test_bulk_leaves_unreadable_ratings_to_the_loop(tmp_path, rating):
+    path = movielens_file(tmp_path / "u.data", [["1", "2", "3", "4"], ["1", "3", rating, "4"]])
+    assert _parse_movielens_bulk(path) is None
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: non-"):
+        load_interactions(path, "movielens100k")
+
+
+def test_ingest_of_the_ml100k_stand_in_stays_under_16_mb(tmp_path):
+    """Traced peak of load plus split; the string-per-field parser needed about 25 MB."""
+    path = tmp_path / "u.data"
+    write_ml100k_like(path)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        build_dataset(load_interactions(path), 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 16_000_000

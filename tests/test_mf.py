@@ -259,6 +259,13 @@ def test_train_matches_sequential_reference_bitwise_with_repeats():
     assert_train_matches_sequential_reference(dense_dataset(rows, 6, 7), cfg)
 
 
+def test_train_matches_sequential_reference_bitwise_with_2_16_levels():
+    """One user's 65536 visits form one level each: the top level no longer fits uint16."""
+    rows = [(0, k % 3, float(1 + k % 5)) for k in range(1 << 16)]
+    cfg = TrainConfig(n_factors=2, learning_rate=0.01, epochs=1, seed=5)
+    assert_train_matches_sequential_reference(dense_dataset(rows, 1, 3), cfg)
+
+
 def test_train_matches_sequential_reference_bitwise_at_ml100k_scale(tmp_path):
     path = tmp_path / "u.data"
     write_ml100k_like(str(path))
