@@ -4,7 +4,6 @@ import csv
 import json
 import math
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional
@@ -42,10 +41,6 @@ class IdIndex:
     def index(self, external_id: str) -> int:
         return self._forward[external_id]
 
-    def indices(self, external_ids: list) -> np.ndarray:
-        """Dense indices of a list of known external ids, as an int64 array."""
-        return np.fromiter(map(self._forward.__getitem__, external_ids), np.int64, len(external_ids))
-
     def id(self, dense_index: int) -> str:
         return self._backward[dense_index]
 
@@ -82,17 +77,13 @@ def _timestamp_column(values: list) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class Interactions(Sequence):
-    """Interactions as dictionary-encoded columns.
+class Interactions:
+    """Interactions as dictionary-encoded columns: the table ``build_dataset`` reads.
 
     Each id column is its distinct ids in first-appearance order (``user_ids``,
     ``item_ids``) and an int64 code per row into them (``user_codes``,
     ``item_codes``); ``rating_column`` is float64 and ``timestamp_column`` int64,
-    or object when a timestamp was missing or beyond int64.  ``users``,
-    ``items``, ``ratings`` and ``timestamps`` are the columns as lists, and
-    indexing and iteration yield ``Interaction`` rows, so it reads as the list
-    of rows it stands for.  ``build_dataset`` reads the encoded columns as they
-    are.
+    or object when a timestamp was missing or beyond int64.
     """
 
     user_ids: list
@@ -115,52 +106,8 @@ class Interactions(Sequence):
             _timestamp_column([x.timestamp for x in rows]),
         )
 
-    def append(self, interaction: Interaction) -> None:
-        """Add one row.  Each call encodes every column again: build many rows with ``of``."""
-        vars(self).update(vars(Interactions.of([*self, interaction])))
-
-    @property
-    def users(self) -> list:
-        return list(map(self.user_ids.__getitem__, self.user_codes.tolist()))
-
-    @property
-    def items(self) -> list:
-        return list(map(self.item_ids.__getitem__, self.item_codes.tolist()))
-
-    @property
-    def ratings(self) -> list:
-        return self.rating_column.tolist()
-
-    @property
-    def timestamps(self) -> list:
-        return self.timestamp_column.tolist()
-
-    def _columns(self) -> tuple:
-        return self.users, self.items, self.ratings, self.timestamps
-
     def __len__(self) -> int:
         return len(self.user_codes)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Interactions(
-                *_dictionary(self.users[index]),
-                *_dictionary(self.items[index]),
-                self.rating_column[index],
-                self.timestamp_column[index],
-            )
-        return Interaction(
-            self.user_ids[self.user_codes.item(index)],
-            self.item_ids[self.item_codes.item(index)],
-            self.rating_column.item(index),
-            self.timestamp_column.item(index),
-        )
-
-    def __iter__(self):
-        return map(Interaction, *self._columns())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Interactions) and self._columns() == other._columns()
 
 
 @dataclass(frozen=True)
@@ -407,25 +354,28 @@ def _parse_movielens_bulk(path) -> Optional[Interactions]:
     """The file's rows converted column by column, or None where the per-line loop must run.
 
     The bulk path takes only files whose every line holds exactly three tabs,
-    with no ``\\r``, valid UTF-8, non-empty ids, a finite rating and an integer
-    timestamp; a blank or whitespace-only line fails the tab count or the
-    rating conversion.  The file is read as bytes: field bounds come from the
-    tab and newline bytes, and ids are dictionary-encoded byte for byte and
-    decoded once per distinct id.  Ratings of at most 15 ASCII digits and one
-    '.' are read as integer / 10^d (both exact below 2**53, so the quotient is
-    correctly rounded, as ``float`` rounds), timestamps of at most 18 ASCII
-    digits as integers; any other value goes through ``float`` or ``int``, the
-    per-line loop's own parsers, so the accepted syntax is the same.  On any other file the caller runs
-    ``_load_movielens100k``, which skips blank lines and raises the
+    with no ``\\r`` but in a ``\\r\\n`` line end (read as ``\\n``), valid
+    UTF-8, non-empty ids, a finite rating and an integer timestamp; a blank or
+    whitespace-only line fails the tab count or the rating conversion.  The
+    file is read as bytes: field bounds come from the tab and newline bytes,
+    and ids are dictionary-encoded byte for byte and decoded once per distinct
+    id.  Ratings of at most 15 ASCII digits and one '.' are read as integer /
+    10^d (both exact below 2**53, so the quotient is correctly rounded, as
+    ``float`` rounds), timestamps of at most 18 ASCII digits as integers; any
+    other value goes through ``float`` or ``int``, the per-line loop's own
+    parsers, so the accepted syntax is the same.  On any other file the caller
+    runs ``_load_movielens100k``, which skips blank lines and raises the
     ``path:line:`` message.
     """
     with open(path, "rb") as fh:
         data = fh.read()
+    if b"\r" in data:  # only a file holding one pays for the copy
+        data = data.replace(b"\r\n", b"\n")
+        if b"\r" in data:
+            return None
     raw = np.frombuffer(data, dtype=np.uint8)
     if data.endswith(b"\n"):
         raw = raw[:-1]
-    if b"\r" in data:
-        return None
     if not data.isascii():
         try:
             data.decode("utf-8")
@@ -490,7 +440,7 @@ def _load_csv(path) -> Interactions:
 
 
 def load_interactions(path, format: str = "movielens100k") -> Interactions:
-    """Load interactions from disk as columns that index and iterate as ``Interaction`` rows.
+    """Load interactions from disk as dictionary-encoded ``Interactions`` columns.
 
     Formats:
       movielens100k -- tab-separated ``user<TAB>item<TAB>rating<TAB>timestamp``
@@ -527,6 +477,13 @@ def finite_number(value) -> bool:
         and not isinstance(value, bool)
         and math.isfinite(value)
     )
+
+
+def json_number(value):
+    """``json.dumps``'s ``default``: a numpy number the configs accept, as the equal Python one."""
+    if isinstance(value, (np.integer, np.floating)):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def json_float_array(raw, shape: tuple) -> np.ndarray:

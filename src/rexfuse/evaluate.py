@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import InteractionDataset, RatingTriples, finite_number, require_int
+from .dataset import InteractionDataset, RatingTriples, finite_number, json_number, require_int
 from .hybrid import HybridModel, resolve_embeddings, train_hybrid
 from .mf import TrainConfig, _check_index
 
@@ -49,7 +49,7 @@ class EvalReport:
 
     def to_json(self) -> str:
         """Canonical single-line JSON (stable key order, exact floats)."""
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True, default=json_number)
 
 
 def _ranked_rows(scores: np.ndarray, candidates: np.ndarray, k: int) -> list:

@@ -7,7 +7,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dataset import IdIndex, json_float_array
+from .dataset import IdIndex, json_float_array, json_number
 from .hybrid import HybridModel
 from .mf import FactorModel, TrainConfig
 from .semantic import ItemEmbeddingTable
@@ -70,7 +70,7 @@ def save_bundle(bundle: ModelBundle, path) -> None:
         "embedding_provider": bundle.embedding_provider,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc) + "\n")  # json.dumps runs the C encoder, json.dump does not
+        fh.write(json.dumps(doc, default=json_number) + "\n")  # json.dump skips the C encoder
 
 
 def load_bundle(path) -> ModelBundle:

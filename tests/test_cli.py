@@ -103,7 +103,7 @@ def test_train_hybrid_alpha_zero_predicts_like_mf(fusion_files, tmp_path, capsys
 def embeddings_file(fusion_files, tmp_path):
     """One 5-wide vector per item of the fusion data, plus one for an unknown id."""
     data, _ = fusion_files
-    items = sorted({row.item for row in load_interactions(data, "csv")})
+    items = sorted(load_interactions(data, "csv").item_ids)
     rng = np.random.default_rng(4)
     vectors = {item: rng.normal(size=5).tolist() for item in items}
     path = tmp_path / "vectors.jsonl"

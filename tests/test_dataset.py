@@ -20,11 +20,18 @@ def write(path, text):
     return str(path)
 
 
+def only_row(table):
+    """The single row of a one-row ``Interactions`` table."""
+    assert len(table) == 1
+    (user,), (item,) = table.user_ids, table.item_ids
+    return Interaction(user, item, table.rating_column.item(), table.timestamp_column.item())
+
+
 # ---------------------------------------------------------------- loading
 
 def test_movielens_line_maps_fields(tmp_path):
     path = write(tmp_path / "u.data", "196\t242\t3\t881250949\n")
-    (inter,) = load_interactions(path, "movielens100k")
+    inter = only_row(load_interactions(path, "movielens100k"))
     assert inter == Interaction(user="196", item="242", rating=3.0, timestamp=881250949)
 
 
@@ -41,13 +48,13 @@ def test_movielens_skips_blank_lines(tmp_path):
 
 def test_csv_with_header_no_timestamp(tmp_path):
     path = write(tmp_path / "r.csv", "user_id,item_id,rating\nu1,i1,4.5\n")
-    (inter,) = load_interactions(path, "csv")
+    inter = only_row(load_interactions(path, "csv"))
     assert inter == Interaction(user="u1", item="i1", rating=4.5, timestamp=None)
 
 
 def test_csv_with_timestamp_column(tmp_path):
     path = write(tmp_path / "r.csv", "user_id,item_id,rating,timestamp\nu1,i1,2,99\n")
-    (inter,) = load_interactions(path, "csv")
+    inter = only_row(load_interactions(path, "csv"))
     assert inter.timestamp == 99
 
 

@@ -142,6 +142,14 @@ def test_eval_config_accepts_numpy_numbers():
     assert (config.top_k, config.relevance_threshold) == (3, 3.5)
 
 
+def test_report_json_writes_numpy_numbers_as_the_equal_python_ones():
+    metrics = dict(precision=0.25, recall=0.5, coverage=0.125, rmse=1.5)
+    numpy_valued = EvalReport(**{name: np.float32(v) for name, v in metrics.items()},
+                              n_users_evaluated=np.int64(7), alpha=np.float32(0.5))
+    python_valued = EvalReport(**metrics, n_users_evaluated=7, alpha=0.5)
+    assert numpy_valued.to_json() == python_valued.to_json()
+
+
 # ---------------------------------------------------------------- metrics
 
 def triples(rows):

@@ -2,8 +2,8 @@
 
 The fuzz test writes the same rows as a MovieLens file and as a CSV file,
 injects faults, and checks that ``load_interactions`` gives what the per-line
-MovieLens loop gives: the same ``Interaction`` rows, or the same exception
-type and message (for CSV, the message of the row one line further down).
+MovieLens loop gives: the same columns, or the same exception type and
+message (for CSV, the message of the row one line further down).
 """
 
 import re
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from rexfuse import dataset
 from rexfuse.dataset import (
-    IdIndex,
     Interaction,
     Interactions,
     _load_movielens100k,
@@ -89,10 +88,22 @@ def render(rows, faults, final_newline, bom, sep):
     return out
 
 
+def columns(table):
+    """What ``build_dataset`` reads of ``table``: ids and codes, rating bits, typed timestamps."""
+    return {
+        "user_ids": table.user_ids,
+        "item_ids": table.item_ids,
+        "codes": [(c.dtype.str, c.tobytes()) for c in (table.user_codes, table.item_codes)],
+        "ratings": (table.rating_column.dtype.str, table.rating_column.tobytes()),
+        "timestamps": (table.timestamp_column.dtype.str,
+                       [(type(t), t) for t in table.timestamp_column.tolist()]),
+    }
+
+
 def outcome(path, fmt="movielens100k"):
-    """The rows ``load_interactions`` returns, or the type and message of what it raises."""
+    """The ``columns`` of what ``load_interactions`` returns, or the type and message it raises."""
     try:
-        return list(load_interactions(path, fmt))
+        return columns(load_interactions(path, fmt))
     except Exception as exc:  # noqa: BLE001 - every exception is part of the outcome
         return type(exc), str(exc)
 
@@ -109,7 +120,7 @@ def as_csv_outcome(result, tsv, csv):
     Line numbers move down one for the header, and the field-count message
     does not say "tab-separated".
     """
-    if isinstance(result, list):
+    if isinstance(result, dict):
         return result
     kind, message = result
     m = re.match(rf"{re.escape(tsv)}:(\d+): (.*)$", message)
@@ -138,14 +149,14 @@ def test_loaders_agree_with_the_per_line_loop(fuzz_dir, rows, faults, final_newl
         fh.write(render(rows, [], final_newline, bom, "\t"))
     bulk = _parse_movielens_bulk(clean)
     assert bulk is not None
-    assert list(bulk) == list(_load_movielens100k(clean))
+    assert columns(bulk) == columns(_load_movielens100k(clean))
 
-    # with faults, the bulk path returns the loop's rows or leaves the file to the loop
+    # with faults, the bulk path returns the loop's columns or leaves the file to the loop
     with open(tsv, "wb") as fh:
         fh.write(render(rows, faults, final_newline, bom, "\t"))
     expected = reference_outcome(tsv)
     bulk = _parse_movielens_bulk(tsv)
-    assert bulk is None or list(bulk) == expected
+    assert bulk is None or columns(bulk) == expected
     assert outcome(tsv) == expected
 
     # the CSV loader reads the same rows, or names the same fault (utf-8-sig drops a BOM)
@@ -173,7 +184,7 @@ def test_bulk_path_reads_the_ml100k_stand_in(tmp_path):
     write_ml100k_like(path)
     bulk = _parse_movielens_bulk(path)
     assert bulk is not None and len(bulk) == 100_000
-    assert bulk == _load_movielens100k(path)
+    assert columns(bulk) == columns(_load_movielens100k(path))
 
 
 @pytest.mark.parametrize(
@@ -198,7 +209,8 @@ def test_invalid_utf8_is_reported_in_line_order(tmp_path, fmt, content, message)
     "text",
     [
         "1\t2\t3\t4\n\n5\t6\t1\t7\n",  # blank line
-        "1\t2\t3\t4\r\n5\t6\t1\t7\r\n",  # CRLF
+        "1\t2\t3\t4\r5\t6\t1\t7\n",  # a lone \r ends a line
+        "1\t2\t3\t4\r\r\n5\t6\t1\t7\n",  # \r\r\n ends a line and a blank one
         "1\t2\t3\t\n",  # blank timestamp
         "1\t2\t3\t\x1c5\n",  # str.strip() drops \x1c, int() does not
     ],
@@ -207,7 +219,20 @@ def test_files_the_bulk_path_leaves_to_the_loop_still_load(tmp_path, text):
     path = tmp_path / "u.data"
     path.write_text(text, encoding="utf-8", newline="")
     assert _parse_movielens_bulk(path) is None
-    assert load_interactions(path, "movielens100k") == _load_movielens100k(path)
+    assert columns(load_interactions(path, "movielens100k")) == columns(_load_movielens100k(path))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1\t2\t3\t4\r\n5\t6\t1\t7\r\n", "1\t2\t3\t4\r\n5\t6\t1\t7\n", "1\t2\t3\t4\r\n5\t\u00e4\t1\t7"],
+    ids=["crlf", "crlf-then-lf", "crlf-no-final-newline"],
+)
+def test_crlf_files_take_the_bulk_path(tmp_path, text):
+    path = tmp_path / "u.data"
+    path.write_text(text, encoding="utf-8", newline="")
+    bulk = _parse_movielens_bulk(path)
+    assert bulk is not None
+    assert columns(bulk) == columns(_load_movielens100k(path))
 
 
 @pytest.mark.parametrize(
@@ -231,54 +256,28 @@ def test_bad_rows_raise_the_per_line_message(tmp_path, text, message):
 
 # ---------------------------------------------------------------- columns
 
-def test_interactions_index_and_iterate_as_rows():
-    rows = [Interaction("u", "i", 3.0, 7), Interaction("v", "j", 4.5, None)]
-    columns = Interactions.of(rows)
-    assert Interactions.of(columns) is columns
-    assert (columns.users, columns.items) == (["u", "v"], ["i", "j"])
-    assert (columns.ratings, columns.timestamps) == ([3.0, 4.5], [7, None])
-    assert len(columns) == 2
-    assert list(columns) == rows
-    assert columns[1] == rows[1] and columns[-2] == rows[0]
-    assert list(columns[1:]) == rows[1:]
-    assert columns == Interactions.of(list(rows)) and columns != Interactions.of(rows[:1])
-    with pytest.raises(IndexError):
-        columns[2]
-    columns.append(Interaction("w", "k", 1.0))
-    assert columns[2] == Interaction("w", "k", 1.0, None)
-
-
-def test_slices_and_appends_keep_the_encoding_canonical():
-    columns = Interactions.of([Interaction(u, i, 1.0, t) for u, i, t in
-                               [("a", "x", 1), ("b", "y", None), ("c", "x", 2**70), ("b", "z", 4)]])
-    assert (columns.user_ids, columns.user_codes.tolist()) == (["a", "b", "c"], [0, 1, 2, 1])
-    assert columns.timestamp_column.dtype == object
-    tail = columns[2:]
-    assert (tail.user_ids, tail.user_codes.tolist()) == (["c", "b"], [0, 1])
-    assert (tail.item_ids, tail.item_codes.tolist()) == (["x", "z"], [0, 1])
-    tail.append(Interaction("a", "x", 2.5, 9))
-    assert (tail.user_ids, tail.user_codes.tolist()) == (["c", "b", "a"], [0, 1, 2])
-    assert tail.timestamps == [2**70, 4, 9]
-    assert tail[-1] == Interaction("a", "x", 2.5, 9) and len(columns) == 4
-
-
-def test_id_index_indices_match_index():
-    idx = IdIndex(["b", "a", "b", "c"])
-    got = idx.indices(["c", "a", "b", "b"])
-    assert got.dtype == np.int64
-    assert got.tolist() == [idx.index(x) for x in ["c", "a", "b", "b"]] == [2, 1, 0, 0]
-
-
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(3, 80), st.integers(0, 2**16))
-def test_build_dataset_matches_per_row_reference(fuzz_dir, data_seed, n, split_seed):
-    rows = random_interactions(np.random.default_rng(data_seed), n)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 80), st.integers(0, 2**16),
+       st.sampled_from([None, 0, 2**63 - 1, 2**63, 2**70]))
+def test_build_dataset_matches_per_row_reference(fuzz_dir, data_seed, n, split_seed, stamp):
+    rows = [Interaction(x.user, x.item, x.rating, stamp if k == 0 else k)
+            for k, x in enumerate(random_interactions(np.random.default_rng(data_seed), n))]
     user_ids, item_ids, splits = build_dataset_reference(rows, split_seed)
+    # the rows as columns: first-appearance ids and their codes, and int64
+    # timestamps unless one is missing or beyond int64
+    table = Interactions.of(rows)
+    assert Interactions.of(table) is table
+    assert (table.user_ids, table.item_ids) == (user_ids, item_ids)
+    assert table.user_codes.tolist() == [user_ids.index(x.user) for x in rows]
+    assert table.item_codes.tolist() == [item_ids.index(x.item) for x in rows]
+    wide = stamp is None or stamp >= 2**63
+    assert table.timestamp_column.dtype == (object if wide else np.int64)
+    assert table.timestamp_column.tolist() == [x.timestamp for x in rows]
     path = fuzz_dir / "encoded.data"
     path.write_text("".join(f"{x.user}\t{x.item}\t{x.rating}\t0\n" for x in rows), encoding="utf-8")
     encoded = _parse_movielens_bulk(path)  # the columns as the byte parser encodes them
     assert encoded is not None
-    for given_rows in (rows, Interactions.of(rows), encoded):
+    for given_rows in (rows, table, encoded):
         ds = build_dataset(given_rows, split_seed)
         assert (ds.users.ids, ds.items.ids) == (user_ids, item_ids)
         for part, want in zip((ds.train, ds.validation, ds.test), splits):
@@ -322,14 +321,8 @@ VALUE_CASES = {
 
 
 def assert_same_rows(bulk, path):
-    """``bulk`` holds the per-line loop's rows of ``path``, ratings bitwise, timestamp types too."""
-    expected = _load_movielens100k(path)
-    assert list(bulk) == list(expected)
-    assert np.array(bulk.ratings).tobytes() == np.array(expected.ratings).tobytes()
-    assert [type(t) for t in bulk.timestamps] == [type(t) for t in expected.timestamps]
-    # the encoding build_dataset reads: each distinct id once, in first-appearance order
-    for ids, column in ((bulk.user_ids, bulk.users), (bulk.item_ids, bulk.items)):
-        assert ids == list(dict.fromkeys(column))
+    """``bulk`` holds the per-line loop's ``columns`` of ``path``: the same ids, codes and bits."""
+    assert columns(bulk) == columns(_load_movielens100k(path))
 
 
 @pytest.mark.parametrize("case", ID_CASES)
@@ -381,17 +374,22 @@ def test_bulk_leaves_unreadable_ratings_to_the_loop(tmp_path, rating):
 
 
 def test_ingest_of_the_ml100k_stand_in_stays_under_16_mb(tmp_path):
-    """Traced peak of load plus split; the string-per-field parser needed about 25 MB."""
-    path = tmp_path / "u.data"
-    write_ml100k_like(path)
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    base = tracemalloc.get_traced_memory()[0]
-    try:
-        build_dataset(load_interactions(path), 1)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert peak < 16_000_000
+    """Traced peak of load plus split, with LF and with CRLF line ends; the
+    string-per-field parser needed about 25 MB, and the per-line loop that
+    read CRLF files about 32 MB."""
+    lf, crlf = tmp_path / "u.data", tmp_path / "crlf.data"
+    write_ml100k_like(lf)
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    peaks = {}
+    for path in (lf, crlf):
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            build_dataset(load_interactions(path), 1)
+            peaks[path.name] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+    assert max(peaks.values()) < 16_000_000, peaks

@@ -95,6 +95,31 @@ def test_hybrid_round_trip_preserves_everything(tmp_path):
     assert loaded.embedding_provider == {"kind": "file", "path": "emb.jsonl", "dim": 5}
 
 
+def test_numpy_valued_settings_save_as_the_equal_python_numbers(tmp_path):
+    """The configs accept numpy numbers; the file holds the bytes of the equal Python values."""
+    _, bundle = hybrid_bundle()
+    factors, projection, table = bundle.model.factors, bundle.model.projection, bundle.model.embeddings
+    python_valued = dataclasses.replace(
+        bundle,
+        model=HybridModel(factors, projection, table, 0.5),
+        config=TrainConfig(n_factors=4, learning_rate=0.25, reg=0.5, epochs=4, init_scale=0.0625,
+                           seed=2),
+        split_seed=9,
+    )
+    numpy_valued = dataclasses.replace(
+        bundle,
+        model=HybridModel(factors, projection, table, np.float32(0.5)),
+        config=TrainConfig(n_factors=np.int64(4), learning_rate=np.float32(0.25),
+                           reg=np.float16(0.5), epochs=np.int32(4), init_scale=np.float64(0.0625),
+                           seed=np.uint8(2)),
+        split_seed=np.int64(9),
+    )
+    paths = tmp_path / "python.json", tmp_path / "numpy.json"
+    for saved, path in zip((python_valued, numpy_valued), paths):
+        save_bundle(saved, path)
+    assert paths[1].read_bytes() == paths[0].read_bytes()
+
+
 def test_version_mismatch_rejected(tmp_path):
     _, bundle = mf_bundle()
     path = tmp_path / "model.json"

@@ -11,12 +11,12 @@ ratings; k=32, lr 0.02, 3 epochs) and records P, Q, ``W``, the embeddings,
 the losses, ``predict_pairs`` on the test split, the evaluation report, the
 top-10 list of every user, the ``recommend`` lists of every 7th user (with
 and without cold items) and the model-file bytes.  It also ingests the
-ratings as a MovieLens file and as a CSV rendering of the same rows, and
-records each dataset's user and item id lists and every train, validation
-and test column.  Its ``cli`` mode runs ``rexfuse.cli.main`` in-process on the
-same files (``COLUMNS`` fixed, ``$REXFUSE_SEED`` unset; see ``cli_runs``) and
-records each run's stdout, stderr, exit code and the bytes of each file it
-writes.
+ratings as a MovieLens file, as a CRLF rendering of it (``\\r\\n`` line
+ends) and as a CSV rendering of the same rows, and records each dataset's
+user and item id lists and every train, validation and test column.  Its
+``cli`` mode runs ``rexfuse.cli.main`` in-process on the same files
+(``COLUMNS`` fixed, ``$REXFUSE_SEED`` unset; see ``cli_runs``) and records
+each run's stdout, stderr, exit code and the bytes of each file it writes.
 
 It prints, per mode and output, ``bitwise`` (arrays), ``equal`` (lists,
 reports, file bytes) or the largest difference relative to the largest entry,
@@ -65,8 +65,9 @@ MODES = {
 # outputs that may differ at the ulp level in modes with a semantic term
 ULP_OUTPUTS = {"losses", "test_scores", "recommend_scores"}
 ULP_BOUND = 1e-12
-# the two renderings of the ratings that are ingested: (file name, format)
-INGESTS = {"movielens100k": ("ratings.tsv", "movielens100k"), "csv": ("ratings.csv", "csv")}
+# the renderings of the ratings that are ingested: (file name, format)
+INGESTS = {"movielens100k": ("ratings.tsv", "movielens100k"),
+           "crlf": ("ratings-crlf.tsv", "movielens100k"), "csv": ("ratings.csv", "csv")}
 
 
 def has_semantic_term(mode):
@@ -88,6 +89,11 @@ def write_csv_rendering(tsv, csv):
         dst.write("user_id,item_id,rating,timestamp\n")
         for line in src:
             dst.write(line.replace("\t", ","))
+
+
+def write_crlf_rendering(tsv, crlf):
+    """The MovieLens file with each line ending in ``\\r\\n``."""
+    Path(crlf).write_bytes(Path(tsv).read_bytes().replace(b"\n", b"\r\n"))
 
 
 def cli_runs(data_dir, users):
@@ -266,6 +272,7 @@ def main(argv=None):
         tmp = Path(tmp)
         gen.write_longtail(tmp / "ratings.tsv", tmp / "texts.jsonl", SEED, **SHAPE)
         write_csv_rendering(tmp / "ratings.tsv", tmp / "ratings.csv")
+        write_crlf_rendering(tmp / "ratings.tsv", tmp / "ratings-crlf.tsv")
         base_src = export_src(args.base, tmp / "base")
         base = run_child(base_src, str(tmp), str(tmp / "base.pickle"))
         head = run_child(str(ROOT / "src"), str(tmp), str(tmp / "head.pickle"))
