@@ -9,7 +9,7 @@ import numpy as np
 
 from .dataset import InteractionDataset, RatingTriples, finite_number, json_number, require_int
 from .hybrid import HybridModel, resolve_embeddings, train_hybrid
-from .mf import TrainConfig, _check_index
+from .mf import TrainConfig, _check_index, score_pairs
 
 # users ranked per pass of evaluate_model: a 64 x n_items block of scores
 _BLOCK = 64
@@ -52,16 +52,25 @@ class EvalReport:
         return json.dumps(self.to_dict(), sort_keys=True, default=json_number)
 
 
+def _rank_pairs(rows, items, neg, n_rows: int, k: int) -> np.ndarray:
+    """The one ranking rule: each row's first k pairs by (-score, index), given the
+    negated scores ``neg``, as an (n_rows, k) item array padded with -1.  This is
+    the order of a stable sort on each negated row; NaN scores rank last."""
+    order = np.lexsort((items, neg, rows))
+    rows = rows[order]
+    lists = np.full((n_rows, k + 1), -1)  # column k takes every pair past a row's k-th
+    lists[rows, np.minimum(np.arange(len(rows)) - np.searchsorted(rows, rows), k)] = items[order]
+    return lists[:, :k]
+
+
 def _ranked_rows(scores: np.ndarray, candidates: np.ndarray, k: int) -> list:
     """The k best candidates of each row: highest score first, ties to the lower index.
 
     ``scores`` and the boolean mask ``candidates`` are (rows, n_items); the
     result is one index array per row.  One partition finds each row's k-th
-    best candidate score, every candidate not worse than it is kept (ties at
-    the k-th place included), and one lexsort orders the kept entries by
-    (row, -score, index): the order of a stable sort on the negated row.  A NaN
-    or infinite threshold keeps the whole row, so NaN scores rank last.  A row
-    with fewer than k candidates gives a shorter list.
+    best candidate score; every candidate not worse than it (ties included, and
+    the whole row at a NaN or infinite threshold) goes to ``_rank_pairs``.  A
+    row with fewer than k candidates gives a shorter list.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -69,13 +78,58 @@ def _ranked_rows(scores: np.ndarray, candidates: np.ndarray, k: int) -> list:
     neg[~candidates] = np.inf
     kth = min(k, neg.shape[1]) - 1
     threshold = np.partition(neg, kth, axis=1)[:, kth, None]
-    rows, items = np.nonzero(candidates & ~(neg > threshold))
-    order = np.lexsort((items, neg[rows, items], rows))
-    rows, items = rows[order], items[order]
-    kept = np.bincount(rows, minlength=len(neg))
-    first = np.cumsum(kept) - kept
-    items = items[np.arange(len(rows)) - first[rows] < k]
-    return np.split(items, np.cumsum(np.minimum(kept, k))[:-1])
+    rows, items = np.divmod(np.flatnonzero(candidates & ~(neg > threshold)), neg.shape[1])
+    return [r[r >= 0] for r in _rank_pairs(rows, items, neg[rows, items], len(neg), kth + 1)]
+
+
+def _norms(X: np.ndarray):
+    """Row 2-norms m * 2**e of ``X`` as (m, e), each row scaled by 2**-e against overflow."""
+    e = np.frexp(np.max(np.abs(X), axis=1))[1]
+    Y = np.ldexp(X, -e[:, None])
+    return np.sqrt(np.einsum("ij,ij->i", Y, Y)), e
+
+
+def _top_lists(factors, users: np.ndarray, train_keys: np.ndarray, k: int) -> np.ndarray:
+    """Top-k lists of ``users`` under a factor model: a (len(users), k) item array padded with -1.
+
+    User u's candidates are the items i whose key u * n_items + i is not in the
+    sorted ``train_keys``.  A BLAS product G = P_b @ Q.T of each block of users
+    only filters: G and the einsum score s both lie within gamma_k ||P_u|| ||Q_i||
+    of the exact dot product (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 3.1), so with B_u >= |s - G| and tau_u the k-th best candidate
+    G, every candidate that can reach the k-th place has G >= tau_u - 2 B_u.
+    ``score_pairs`` re-scores those and ``_rank_pairs`` ranks them, as ``topk``
+    does.  A row with a non-finite G, norm or bound keeps all its candidates.
+    """
+    P, Q = factors.user_factors, factors.item_factors
+    n_items, width = len(Q), min(k, len(Q))
+    n_factors, unit = P.shape[1], np.finfo(float).eps / 2
+    gamma = n_factors * unit / (1 - n_factors * unit)
+    tiny = 2 * n_factors * np.finfo(float).smallest_subnormal  # products that underflow
+    lowest = np.finfo(float).min  # a cut that keeps every candidate
+    lists = np.empty((len(users), width), dtype=np.intp)
+    with np.errstate(all="ignore"):  # overflow and NaN are caught as non-finite rows
+        q_norm, q_exp = _norms(Q)
+        q_top = q_exp.max()
+        q_norm = np.max(np.ldexp(q_norm, q_exp - q_top))  # max_i ||Q_i|| / 2**q_top
+        for start in range(0, len(users), _BLOCK):
+            block = users[start:start + _BLOCK]
+            G = P[block] @ Q.T
+            p_norm, p_exp = _norms(P[block])
+            reach = np.ldexp(p_norm * q_norm, p_exp + q_top)  # ||P_u|| * max_i ||Q_i||
+            bound = 2 * (2 * gamma * reach + tiny)  # doubled: covers its own rounding
+            # a finite 2 * reach: no partial sum of either product can overflow
+            finite = np.isfinite(G).all(axis=1) & np.isfinite(reach + reach)
+            G[~finite] = 0.0
+            seen = np.searchsorted(train_keys, block[:, None] * n_items + [0, n_items])
+            for r, (lo, hi) in enumerate(seen.tolist()):
+                G[r, train_keys[lo:hi] % n_items] = -np.inf
+            tau = np.partition(G, n_items - width, axis=1)[:, n_items - width]
+            cut = np.where(finite, np.fmax(tau - 2 * bound, lowest), lowest)
+            rows, items = np.divmod(np.flatnonzero(G >= cut[:, None]), n_items)
+            scores = score_pairs(factors, block[rows], items)
+            lists[start:start + len(block)] = _rank_pairs(rows, items, -scores, len(block), width)
+    return lists
 
 
 def topk(model, u: int, k: int, exclude=()) -> list:
@@ -134,6 +188,12 @@ def rmse(model, test: RatingTriples) -> float:
     return math.sqrt(float(np.mean(err * err)))
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct non-negative ``keys`` in ascending order, by one sort (``np.unique`` hashes)."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
 def evaluate_model(
     model, dataset: InteractionDataset, config: EvalConfig = EvalConfig(), alpha=None
 ) -> EvalReport:
@@ -141,31 +201,31 @@ def evaluate_model(
 
     Produces top-k lists (minus each user's training items), then
     micro-averaged precision/recall, catalog coverage of those lists, and
-    RMSE over all test interactions.  Users are ranked in blocks of 64: one
-    ``score_items`` call scores a block's catalogue rows, with the same bits
-    as ``topk``'s one-user rows, and one ``_ranked_rows`` call ranks them.
+    RMSE over all test interactions.  ``_top_lists`` ranks the users in
+    blocks of 64 and gives each the list ``topk`` gives it alone; hits are
+    counted on (user, item) keys u * n_items + i.
     """
     test, train, n_items = dataset.test, dataset.train, dataset.n_items
-    users = np.unique(test.users[test.ratings >= config.relevance_threshold])
-    # user u's training items, ascending, are seen[offsets[u]:offsets[u + 1]]
-    pairs = np.sort(train.users * n_items + train.items)
-    offsets = np.cumsum(np.bincount(pairs // n_items + 1, minlength=dataset.n_users + 1))
-    seen = pairs % n_items
-    _check_index(seen, model.n_items, "item")
-    recommendations = {}
-    for start in range(0, len(users), _BLOCK):
-        block = users[start:start + _BLOCK]
-        candidates = np.ones((len(block), model.n_items), dtype=bool)
-        for r, u in enumerate(block.tolist()):
-            candidates[r, seen[offsets[u]:offsets[u + 1]]] = False
-        scores = model.score_items(block[:, None], slice(None))
-        ranked = _ranked_rows(scores, candidates, config.top_k)
-        recommendations.update(zip(block.tolist(), (r.tolist() for r in ranked)))
-    precision, recall = precision_recall(recommendations, test, config.relevance_threshold)
+    if model.n_items != n_items:
+        raise ValueError(f"the model scores {model.n_items} items but the dataset has {n_items}")
+    _check_index(train.items, n_items, "item")
+    relevant = test.ratings >= config.relevance_threshold
+    relevant = _distinct(test.users[relevant] * n_items + test.items[relevant])
+    if not len(relevant):
+        raise ValueError(f"no user has a test item rated >= {config.relevance_threshold}")
+    users = _distinct(relevant // n_items)
+    _check_index(users, model.n_users, "user")
+    factors = model.fused if isinstance(model, HybridModel) else model
+    train_keys = np.sort(train.users * n_items + train.items)
+    lists = _top_lists(factors, users, train_keys, config.top_k)
+    ranked = lists >= 0
+    keys = (users[:, None] * n_items + lists)[ranked]
+    hits = np.count_nonzero(np.isin(keys, relevant, assume_unique=True, kind="sort"))
+    n_recommended = np.count_nonzero(ranked)
     return EvalReport(
-        precision=precision,
-        recall=recall,
-        coverage=coverage(recommendations, n_items),
+        precision=hits / n_recommended if n_recommended else 0.0,
+        recall=hits / len(relevant),
+        coverage=np.count_nonzero(np.bincount(lists[ranked], minlength=n_items)) / n_items,
         rmse=rmse(model, test),
         n_users_evaluated=len(users),
         alpha=alpha,
@@ -203,7 +263,10 @@ def recommend_for_user(model, u: int, k: int, item_train_counts, include_cold=Fa
     the pure content path.  Path labels: "cf" for factor-only models,
     "cf+semantic" for hybrid warm scores, "cold-start" for the content path.
     """
-    warm = np.asarray(item_train_counts) > 0
+    counts = np.asarray(item_train_counts)
+    if counts.shape != (model.n_items,) or (counts < 0).any():
+        raise ValueError(f"item_train_counts must hold {model.n_items} non-negative counts")
+    warm = counts > 0
     is_hybrid = isinstance(model, HybridModel)
     scores = model.score_items(u, slice(None))
     if is_hybrid and include_cold:

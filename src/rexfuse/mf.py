@@ -375,16 +375,23 @@ def sgd_epochs(model: FactorModel, train: RatingTriples, config: TrainConfig, lo
                 keys = levels.astype(np.uint16) if levels.max(initial=0) < 1 << 16 else levels
                 order = order[np.argsort(keys, kind="stable")]
                 bounds = np.cumsum(np.bincount(levels)).tolist()
-                del levels, keys
+                us, its, ys = tu[order], ti[order], tr[order]  # in level order
+                del levels, keys, order
                 for lo, hi in zip(bounds, bounds[1:]):
-                    batch = order[lo:hi]
-                    u, i = tu[batch], ti[batch]
+                    u, i = us[lo:hi], its[lo:hi]
                     pu, qi = P[u], Q[i]
                     # vecdot calls the same BLAS ddot per row as a 1-D ``pu @ qi``;
                     # einsum and (pu * qi).sum(1) round differently
-                    err = (np.vecdot(pu, qi) - tr[batch])[:, None]
-                    P[u] = pu - lr * (err * qi + lam * pu)
-                    Q[i] = qi - lr * (err * pu + lam * qi)
+                    err = (np.vecdot(pu, qi) - ys[lo:hi])[:, None]
+                    # in place, in the order of pu - lr * (err * qi + lam * pu): the same bits
+                    step_p, step_q = err * qi, err * pu
+                    step_p += lam * pu
+                    step_q += lam * qi
+                    step_p *= lr
+                    step_q *= lr
+                    pu -= step_p
+                    qi -= step_q
+                    P[u], Q[i] = pu, qi
                 if head is not None:
                     W *= c ** len(tu)
             else:

@@ -309,14 +309,16 @@ def test_evaluate_model_matches_bruteforce_recount():
 
 
 def evaluated_lists(monkeypatch, model, ds, config):
-    """evaluate_model's top-k lists, as handed to precision_recall."""
+    """evaluate_model's top-k lists, as ranked by evaluate._top_lists."""
     lists = {}
+    top_lists = evaluate._top_lists
 
-    def recording(recommendations, test, threshold):
-        lists.update(recommendations)
-        return precision_recall(recommendations, test, threshold)
+    def recording(factors, users, train_keys, k):
+        ranked = top_lists(factors, users, train_keys, k)
+        lists.update(zip(users.tolist(), ([i for i in row if i >= 0] for row in ranked.tolist())))
+        return ranked
 
-    monkeypatch.setattr(evaluate, "precision_recall", recording)
+    monkeypatch.setattr(evaluate, "_top_lists", recording)
     evaluate_model(model, ds, config)
     return lists
 
@@ -358,6 +360,95 @@ def test_evaluate_model_requires_relevant_users():
     ds, model = trained_small()
     with pytest.raises(ValueError, match="no user"):
         evaluate_model(model, ds, EvalConfig(relevance_threshold=99.0))
+
+
+def test_evaluate_model_rejects_a_model_of_another_catalogue():
+    """A 12-item model on a 2-item dataset would rank items that do not exist."""
+    ds = InteractionDataset(
+        IdIndex(["a", "b"]), IdIndex(["x", "y"]), triples([(0, 0, 3.0)]), RatingTriples.empty(),
+        triples([(0, 1, 5.0), (1, 0, 5.0)]),
+    )
+    model = FactorModel(np.ones((2, 3)), np.ones((12, 3)))
+    with pytest.raises(ValueError, match=r"^the model scores 12 items but the dataset has 2$"):
+        evaluate_model(model, ds)
+
+
+def adversarial_factors(case, rng, n_users, n_items, k=32):
+    """Factors on which the BLAS product and the einsum pair scores disagree or break down."""
+    P, Q = rng.normal(size=(n_users, k)), rng.normal(size=(n_items, k))
+    if case in ("near-ties", "subnormal"):
+        # wide magnitudes and items a few ulps apart: the two summation orders rank them differently
+        P *= 10.0 ** rng.integers(-3, 4, size=P.shape)
+        base = rng.normal(size=k) * 10.0 ** rng.integers(-3, 4, size=k)
+        Q = base + 1e-15 * np.abs(base) * rng.normal(size=(n_items, k))
+    if case == "ties":
+        Q = Q[rng.integers(0, 5, n_items)]  # five distinct rows: every score ties with others
+    elif case == "signed-zeros":
+        P[::3], P[1::3] = 0.0, -0.0
+        Q[::4], Q[1::4] = -0.0, 0.0
+    elif case == "infinite-or-nan-user":
+        P[3], P[5, 2], P[7, 0] = np.inf, -np.inf, np.nan
+    elif case == "infinite-or-nan-item":
+        Q[4, 1], Q[9] = np.nan, -np.inf
+    elif case == "overflowing-norms":  # ||P_u|| overflows, the scores stay finite
+        P[::3] = np.copysign(1.7e308, P[::3])
+        Q *= 1e-300
+    elif case == "overflowing-scores":
+        P[::3] *= 1e200
+        Q[::5] *= 1e200
+    elif case == "subnormal":
+        P[::4] *= 1e-310  # subnormal factors
+        P[1::4] *= 2.0**-560  # the near ties again, with squares that underflow to 0
+        Q[::7] *= 1e-150  # products that underflow
+    return P, Q
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["near-ties", "ties", "signed-zeros", "infinite-or-nan-user", "infinite-or-nan-item",
+     "overflowing-norms", "overflowing-scores", "subnormal"],
+)
+def test_prefiltered_lists_equal_per_user_topk_on_adversarial_factors(monkeypatch, case):
+    """The BLAS prefilter keeps every item that can reach the k-th place, whatever the factors.
+
+    User 0 has trained every item (an empty pool) and user 1 all but two (k
+    above the pool), so masked items must stay out when every candidate is kept.
+    """
+    n_users, n_items = 70, 120
+    rng = np.random.default_rng(sum(map(ord, case)))
+    model = FactorModel(*adversarial_factors(case, rng, n_users, n_items))
+    train_items = {0: set(range(n_items)), 1: set(range(2, n_items))}
+    for u in range(2, n_users):
+        train_items[u] = set(rng.choice(n_items, rng.integers(0, 40), replace=False).tolist())
+    ds = InteractionDataset(
+        IdIndex(str(u) for u in range(n_users)),
+        IdIndex(str(i) for i in range(n_items)),
+        triples([(u, i, 3.0) for u, items in train_items.items() for i in sorted(items)]),
+        RatingTriples.empty(),
+        triples([(u, int(rng.integers(n_items)), 5.0) for u in range(n_users)]),
+    )
+    for k in (1, 4, 10, n_items + 3):
+        with np.errstate(over="ignore", invalid="ignore"):  # the RMSE of overflowing scores
+            lists = evaluated_lists(monkeypatch, model, ds, EvalConfig(top_k=k))
+        assert sorted(lists) == list(range(n_users))
+        assert lists[0] == []
+        for u, got in lists.items():
+            assert got == topk(model, u, k, exclude=train_items[u])
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        [1, 0],  # too short: numpy would raise an IndexError about a boolean index
+        np.ones((40, 1)),
+        [1] * 39 + [-2],  # a negative count would read as cold
+    ],
+)
+def test_recommend_rejects_bad_item_train_counts(counts):
+    _, models = random_scoring_models(3, 40, 4, 5, seed=2)
+    for model in (models["mf"], models["additive-0.5"]):
+        with pytest.raises(ValueError, match=r"^item_train_counts must hold 40 non-negative counts$"):
+            recommend_for_user(model, 0, 5, counts)
 
 
 # ---------------------------------------------------------------- sweep

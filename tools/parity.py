@@ -8,9 +8,10 @@ exports REV's ``src/`` with ``git archive`` and runs one driver under each
 driver trains every mode below on the long-tail stand-in
 (``perfbench/gen.write_longtail``, seed 7, 943 users x 1682 items x 100k
 ratings; k=32, lr 0.02, 3 epochs) and records P, Q, ``W``, the embeddings,
-the losses, ``predict_pairs`` on the test split, the evaluation report, the
-top-10 list of every user, the ``recommend`` lists of every 7th user (with
-and without cold items) and the model-file bytes.  It also ingests the
+the losses, ``predict_pairs`` on the test split, the evaluation report at
+K=10 and at K = n_items (every candidate ranked), the top-10 list of every
+user, the ``recommend`` lists of every 7th user (with and without cold
+items) and the model-file bytes.  It also ingests the
 ratings as a MovieLens file, as a CRLF rendering of it (``\\r\\n`` line
 ends) and as a CSV rendering of the same rows, and records each dataset's
 user and item id lists and every train, validation and test column.  Its
@@ -195,6 +196,8 @@ def drive(src, data_dir):
             losses=np.array(losses),
             test_scores=model.predict_pairs(test.users, test.items),
             report=evaluate_model(model, dataset, EvalConfig(top_k=TOP_K)).to_json(),
+            # every candidate ranked: an item that leaks past the mask changes this report
+            report_all=evaluate_model(model, dataset, EvalConfig(top_k=dataset.n_items)).to_json(),
             topk=[topk(model, u, TOP_K, exclude=train_items.get(u, ()))
                   for u in range(dataset.n_users)],
             recommend_items=[[(i, label) for i, _, label in row] for row in rows],
