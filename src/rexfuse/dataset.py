@@ -354,18 +354,18 @@ def _parse_movielens_bulk(path) -> Optional[Interactions]:
     """The file's rows converted column by column, or None where the per-line loop must run.
 
     The bulk path takes only files whose every line holds exactly three tabs,
-    with no ``\\r`` but in a ``\\r\\n`` line end (read as ``\\n``), valid
-    UTF-8, non-empty ids, a finite rating and an integer timestamp; a blank or
-    whitespace-only line fails the tab count or the rating conversion.  The
-    file is read as bytes: field bounds come from the tab and newline bytes,
-    and ids are dictionary-encoded byte for byte and decoded once per distinct
-    id.  Ratings of at most 15 ASCII digits and one '.' are read as integer /
-    10^d (both exact below 2**53, so the quotient is correctly rounded, as
-    ``float`` rounds), timestamps of at most 18 ASCII digits as integers; any
-    other value goes through ``float`` or ``int``, the per-line loop's own
-    parsers, so the accepted syntax is the same.  On any other file the caller
-    runs ``_load_movielens100k``, which skips blank lines and raises the
-    ``path:line:`` message.
+    with no ``\\r`` but in a ``\\r\\n`` line end (read as ``\\n``), valid UTF-8,
+    non-empty ids, a finite rating and an integer timestamp; trailing empty
+    lines are dropped, and any other blank or whitespace-only line fails the tab
+    count or the rating conversion.  The file is read as bytes: field bounds
+    come from the tab and newline bytes, and ids are dictionary-encoded byte for
+    byte and decoded once per distinct id.  Ratings of at most 15 ASCII digits
+    and one '.' are read as integer / 10^d (both exact below 2**53, so the
+    quotient is correctly rounded, as ``float`` rounds), timestamps of at most
+    18 ASCII digits as integers; any other value goes through ``float`` or
+    ``int``, the per-line loop's own parsers, so the accepted syntax is the
+    same.  On any other file the caller runs ``_load_movielens100k``, which
+    skips blank lines and raises the ``path:line:`` message.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -373,9 +373,10 @@ def _parse_movielens_bulk(path) -> Optional[Interactions]:
         data = data.replace(b"\r\n", b"\n")
         if b"\r" in data:
             return None
-    raw = np.frombuffer(data, dtype=np.uint8)
-    if data.endswith(b"\n"):
-        raw = raw[:-1]
+    end = len(data)
+    while end and data[end - 1] == ord("\n"):  # trailing empty lines, without a copy
+        end -= 1
+    raw = np.frombuffer(data, dtype=np.uint8, count=end)
     if not data.isascii():
         try:
             data.decode("utf-8")

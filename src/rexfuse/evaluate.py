@@ -63,30 +63,21 @@ def _rank_pairs(rows, items, neg, n_rows: int, k: int) -> np.ndarray:
     return lists[:, :k]
 
 
-def _ranked_rows(scores: np.ndarray, candidates: np.ndarray, k: int) -> list:
-    """The k best candidates of each row: highest score first, ties to the lower index.
+def _ranked(scores: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
+    """The k best item indices of ``candidates`` by the score row ``scores``, ties to the lower.
 
-    ``scores`` and the boolean mask ``candidates`` are (rows, n_items); the
-    result is one index array per row.  One partition finds each row's k-th
-    best candidate score; every candidate not worse than it (ties included, and
-    the whole row at a NaN or infinite threshold) goes to ``_rank_pairs``.  A
-    row with fewer than k candidates gives a shorter list.
+    One partition finds the k-th best candidate score; every candidate not
+    worse than it (ties included, and all of them at a NaN or infinite
+    threshold) goes to ``_rank_pairs``.  A pool under k gives a shorter list.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    neg = -scores
-    neg[~candidates] = np.inf
-    kth = min(k, neg.shape[1]) - 1
-    threshold = np.partition(neg, kth, axis=1)[:, kth, None]
-    rows, items = np.divmod(np.flatnonzero(candidates & ~(neg > threshold)), neg.shape[1])
-    return [r[r >= 0] for r in _rank_pairs(rows, items, neg[rows, items], len(neg), kth + 1)]
-
-
-def _norms(X: np.ndarray):
-    """Row 2-norms m * 2**e of ``X`` as (m, e), each row scaled by 2**-e against overflow."""
-    e = np.frexp(np.max(np.abs(X), axis=1))[1]
-    Y = np.ldexp(X, -e[:, None])
-    return np.sqrt(np.einsum("ij,ij->i", Y, Y)), e
+    neg = -scores[candidates]
+    width = min(k, len(neg))
+    if width:
+        keep = ~(neg > np.partition(neg, width - 1)[width - 1])
+        candidates, neg = candidates[keep], neg[keep]
+    return _rank_pairs(np.zeros_like(candidates), candidates, neg, 1, width)[0]
 
 
 def _top_lists(factors, users: np.ndarray, train_keys: np.ndarray, k: int) -> np.ndarray:
@@ -94,12 +85,13 @@ def _top_lists(factors, users: np.ndarray, train_keys: np.ndarray, k: int) -> np
 
     User u's candidates are the items i whose key u * n_items + i is not in the
     sorted ``train_keys``.  A BLAS product G = P_b @ Q.T of each block of users
-    only filters: G and the einsum score s both lie within gamma_k ||P_u|| ||Q_i||
+    only filters: over n factors, G and the einsum score s both lie within
+    gamma_n sum_j |P_uj Q_ij| <= gamma_n R_u, R_u = n max_j |P_uj| max_ij |Q_ij|,
     of the exact dot product (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 3.1), so with B_u >= |s - G| and tau_u the k-th best candidate
+    Algorithms*, 3.1).  So with B_u >= |s - G| and tau_u the k-th best candidate
     G, every candidate that can reach the k-th place has G >= tau_u - 2 B_u.
     ``score_pairs`` re-scores those and ``_rank_pairs`` ranks them, as ``topk``
-    does.  A row with a non-finite G, norm or bound keeps all its candidates.
+    does.  A row with a non-finite G or 2 R_u keeps all its candidates.
     """
     P, Q = factors.user_factors, factors.item_factors
     n_items, width = len(Q), min(k, len(Q))
@@ -109,14 +101,11 @@ def _top_lists(factors, users: np.ndarray, train_keys: np.ndarray, k: int) -> np
     lowest = np.finfo(float).min  # a cut that keeps every candidate
     lists = np.empty((len(users), width), dtype=np.intp)
     with np.errstate(all="ignore"):  # overflow and NaN are caught as non-finite rows
-        q_norm, q_exp = _norms(Q)
-        q_top = q_exp.max()
-        q_norm = np.max(np.ldexp(q_norm, q_exp - q_top))  # max_i ||Q_i|| / 2**q_top
+        q_reach = n_factors * np.max(np.abs(Q))  # n * max_ij |Q_ij|
         for start in range(0, len(users), _BLOCK):
             block = users[start:start + _BLOCK]
             G = P[block] @ Q.T
-            p_norm, p_exp = _norms(P[block])
-            reach = np.ldexp(p_norm * q_norm, p_exp + q_top)  # ||P_u|| * max_i ||Q_i||
+            reach = np.max(np.abs(P[block]), axis=1) * q_reach  # R_u: no squares to overflow
             bound = 2 * (2 * gamma * reach + tiny)  # doubled: covers its own rounding
             # a finite 2 * reach: no partial sum of either product can overflow
             finite = np.isfinite(G).all(axis=1) & np.isfinite(reach + reach)
@@ -137,15 +126,15 @@ def topk(model, u: int, k: int, exclude=()) -> list:
 
     Ties break toward the lower item index, so identical scores always give
     identical lists.  Returns fewer than k items only when the candidate
-    pool is smaller.  The user's whole catalogue row is scored once and the
-    candidates are picked from it by mask.  ``exclude`` is an int array or
+    pool is smaller.  The user's whole catalogue row is scored once and
+    ``_ranked`` ranks the items not excluded.  ``exclude`` is an int array or
     any iterable of item indices.
     """
     excluded = np.asarray(exclude if isinstance(exclude, np.ndarray) else list(exclude))
     _check_index(excluded, model.n_items, "item")
     mask = np.ones(model.n_items, dtype=bool)
     mask[excluded.astype(np.intp)] = False  # an empty list reads as a float array
-    return _ranked_rows(model.score_items(u, slice(None))[None], mask[None], k)[0].tolist()
+    return _ranked(model.score_items(u, slice(None)), np.flatnonzero(mask), k).tolist()
 
 
 def precision_recall(recommendations: dict, test: RatingTriples, threshold: float):
@@ -270,8 +259,9 @@ def recommend_for_user(model, u: int, k: int, item_train_counts, include_cold=Fa
     is_hybrid = isinstance(model, HybridModel)
     scores = model.score_items(u, slice(None))
     if is_hybrid and include_cold:
-        scores = np.where(warm, scores, model.semantic_scores(u, slice(None)))
-    (ranked,) = _ranked_rows(scores[None], (warm | include_cold)[None], k)
+        cold = np.flatnonzero(~warm)
+        scores[cold] = model.semantic_scores(u, cold)
+    ranked = _ranked(scores, np.flatnonzero(warm | include_cold), k)
     warm_label, cold_label = ("cf+semantic", "cold-start") if is_hybrid else ("cf", "cf")
     return [(int(i), float(scores[i]), warm_label if warm[i] else cold_label) for i in ranked]
 

@@ -98,7 +98,7 @@ def test_topk_matches_full_sort_oracle():
 
 
 def test_ranked_rows_match_the_oracles_on_adversarial_rows():
-    """Ties, signed zeros, infinities, NaN, k past the pool and empty pools, many rows at once."""
+    """Ties, signed zeros, infinities, NaN, k past the pool and empty pools, row by row."""
     rng = np.random.default_rng(17)
     pool = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -1.5, 2.0, 2.0])
     for trial in range(400):
@@ -109,9 +109,8 @@ def test_ranked_rows_match_the_oracles_on_adversarial_rows():
         candidates = rng.random((n_rows, n_items)) < rng.choice([0.3, 0.8, 1.0])
         candidates[0] = candidates[0] & (trial % 5 != 0)  # some pools are empty
         k = int(rng.integers(1, n_items + 4))
-        ranked = evaluate._ranked_rows(scores, candidates, k)
-        assert len(ranked) == n_rows
-        for row, mask, got in zip(scores, candidates, ranked):
+        for row, mask in zip(scores, candidates):
+            got = evaluate._ranked(row, np.flatnonzero(mask), k)
             expected = topk_stable_sort(row, mask, k)
             assert got.tolist() == expected
             assert len(expected) == min(k, int(mask.sum()))
@@ -393,6 +392,9 @@ def adversarial_factors(case, rng, n_users, n_items, k=32):
     elif case == "overflowing-norms":  # ||P_u|| overflows, the scores stay finite
         P[::3] = np.copysign(1.7e308, P[::3])
         Q *= 1e-300
+    elif case == "overflowing-bound":  # k max|P_u| max|Q| overflows, the scores stay finite
+        P[::3, 0] = np.copysign(1.7e308, P[::3, 0])
+        Q[:, 0] *= 1e-300
     elif case == "overflowing-scores":
         P[::3] *= 1e200
         Q[::5] *= 1e200
@@ -406,7 +408,7 @@ def adversarial_factors(case, rng, n_users, n_items, k=32):
 @pytest.mark.parametrize(
     "case",
     ["near-ties", "ties", "signed-zeros", "infinite-or-nan-user", "infinite-or-nan-item",
-     "overflowing-norms", "overflowing-scores", "subnormal"],
+     "overflowing-norms", "overflowing-bound", "overflowing-scores", "subnormal"],
 )
 def test_prefiltered_lists_equal_per_user_topk_on_adversarial_factors(monkeypatch, case):
     """The BLAS prefilter keeps every item that can reach the k-th place, whatever the factors.
@@ -434,6 +436,29 @@ def test_prefiltered_lists_equal_per_user_topk_on_adversarial_factors(monkeypatc
         assert lists[0] == []
         for u, got in lists.items():
             assert got == topk(model, u, k, exclude=train_items[u])
+
+
+@pytest.mark.parametrize("case", ["well-scaled", "overflowing-bound"])
+def test_prefilter_rescores_k_pairs_per_user_unless_its_bound_overflows(monkeypatch, case):
+    """Without ties, only each user's k best reach ``score_pairs``; a user whose bound
+    overflows keeps every candidate.  A bound too loose to prune passes every exactness
+    test and only slows evaluate down, so this counts the re-scored pairs."""
+    n_users, n_items, n_factors, k = 150, 300, 16, 10
+    rng = np.random.default_rng(29)
+    model = FactorModel(*adversarial_factors(case, rng, n_users, n_items, n_factors))
+    overflowing = (np.arange(n_users) % 3 == 0) & (case == "overflowing-bound")
+    trained = rng.random((n_users, n_items)) < 0.2
+    scored = []
+
+    def counting(factors, users, items):
+        scored.append(len(items))
+        return score_pairs(factors, users, items)
+
+    monkeypatch.setattr(evaluate, "score_pairs", counting)
+    lists = evaluate._top_lists(model, np.arange(n_users), np.flatnonzero(trained), k)
+    assert sum(scored) == np.where(overflowing, np.count_nonzero(~trained, axis=1), k).sum()
+    assert lists.tolist() == [topk(model, u, k, exclude=np.flatnonzero(trained[u]))
+                              for u in range(n_users)]
 
 
 @pytest.mark.parametrize(

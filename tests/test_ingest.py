@@ -224,8 +224,10 @@ def test_files_the_bulk_path_leaves_to_the_loop_still_load(tmp_path, text):
 
 @pytest.mark.parametrize(
     "text",
-    ["1\t2\t3\t4\r\n5\t6\t1\t7\r\n", "1\t2\t3\t4\r\n5\t6\t1\t7\n", "1\t2\t3\t4\r\n5\t\u00e4\t1\t7"],
-    ids=["crlf", "crlf-then-lf", "crlf-no-final-newline"],
+    ["1\t2\t3\t4\r\n5\t6\t1\t7\r\n", "1\t2\t3\t4\r\n5\t6\t1\t7\n", "1\t2\t3\t4\r\n5\t\u00e4\t1\t7",
+     "1\t2\t3\t4\n5\t6\t1\t7\n\n", "1\t2\t3\t4\r\n5\t6\t1\t7\r\n\r\n"],
+    ids=["crlf", "crlf-then-lf", "crlf-no-final-newline", "lf-then-empty-line",
+         "crlf-then-empty-line"],
 )
 def test_crlf_files_take_the_bulk_path(tmp_path, text):
     path = tmp_path / "u.data"

@@ -11,7 +11,8 @@ ratings; k=32, lr 0.02, 3 epochs) and records P, Q, ``W``, the embeddings,
 the losses, ``predict_pairs`` on the test split, the evaluation report at
 K=10 and at K = n_items (every candidate ranked), the top-10 list of every
 user, the ``recommend`` lists of every 7th user (with and without cold
-items) and the model-file bytes.  It also ingests the
+items) at K=10 and at K = n_items (every candidate listed) and the
+model-file bytes.  It also ingests the
 ratings as a MovieLens file, as a CRLF rendering of it (``\\r\\n`` line
 ends) and as a CSV rendering of the same rows, and records each dataset's
 user and item id lists and every train, validation and test column.  Its
@@ -182,9 +183,10 @@ def drive(src, data_dir):
             fusion, alpha = head
             model, losses = train_hybrid(dataset, table, config, alpha, fusion=fusion)
             factors, outputs = model.factors, {"W": model.projection, "E": table.dense(len(counts))}
-        rows = [recommend_for_user(model, u, TOP_K, counts, include_cold=cold)
-                for cold in (False, True)
-                for u in range(0, dataset.n_users, RECOMMEND_EVERY)]
+        rows, rows_all = ([recommend_for_user(model, u, k, counts, include_cold=cold)
+                           for cold in (False, True)
+                           for u in range(0, dataset.n_users, RECOMMEND_EVERY)]
+                          for k in (TOP_K, dataset.n_items))
         path = data_dir / f"{mode}.model.json"
         save_bundle(ModelBundle("mf" if head is None else "hybrid", model, dataset.users,
                                 dataset.items, config, SEED, counts,
@@ -202,6 +204,8 @@ def drive(src, data_dir):
                   for u in range(dataset.n_users)],
             recommend_items=[[(i, label) for i, _, label in row] for row in rows],
             recommend_scores=np.array([score for row in rows for _, score, _ in row]),
+            # every candidate listed: a leaked or wrongly routed item changes these lists
+            recommend_all=[[(i, label) for i, _, label in row] for row in rows_all],
             model_file=path.read_bytes(),
         )
         results[mode] = outputs
