@@ -227,9 +227,6 @@ def _load_movielens100k(path) -> Interactions:
     return _read_records(path, records, 4, "tab-separated ")
 
 
-_POW10 = np.array([float(10**k) for k in range(16)])  # exact: each is below 2**53
-
-
 def _equal_byte_groups(raw, start, width: int) -> tuple:
     """Group the ``width``-byte strings that start at ``start``.
 
@@ -246,12 +243,13 @@ def _equal_byte_groups(raw, start, width: int) -> tuple:
         for k in range(j, min(j + 4, width)):
             word |= raw[start + k].astype(np.uint64) << np.uint64(32 + 8 * (k - j))
         words.append(word)
-    position = np.arange(n, dtype=np.uint64)
-    order = position
+    order = np.arange(n)
     for word in words:
-        keyed = word[order] | position
+        keyed = word[order]
+        keyed |= np.arange(n, dtype=np.uint64)  # each row's place in ``order``
         keyed.sort()
-        order = order[keyed & np.uint64(0xFFFFFFFF)]
+        keyed &= np.uint64(0xFFFFFFFF)
+        order = order[keyed.view(np.int64)]  # int64 indices: no cast to intp, no copy
     first = np.zeros(n, dtype=bool)
     first[0] = True
     for word in words:
@@ -261,15 +259,15 @@ def _equal_byte_groups(raw, start, width: int) -> tuple:
 
 
 def _encode_ids(data: bytes, raw, start, end) -> tuple:
-    """Dictionary encoding of the fields ``data[start:end]``: (distinct ids, int64 codes).
+    """Dictionary encoding of the fields ``data[start:end]``: (distinct texts, int64 codes).
 
-    The ids are decoded once each, in first-appearance order.  Fields of
-    different lengths differ; fields of one length are grouped byte for byte.
-    An empty field raises ValueError.
+    Reads an id column or the rating column.  The texts are decoded once each,
+    in first-appearance order.  Fields of different lengths differ; fields of
+    one length are grouped byte for byte.  An empty field raises ValueError.
     """
     length = end - start
     if not length.all():
-        raise ValueError("empty id")
+        raise ValueError("empty field")
     codes = np.empty(len(start), dtype=np.int64)
     firsts = []
     n_distinct = 0
@@ -287,61 +285,40 @@ def _encode_ids(data: bytes, raw, start, end) -> tuple:
     return [data[lo:hi].decode("utf-8") for lo, hi in bounds], rank[codes]
 
 
-def _plain_decimals(raw, start, end, max_digits: int, point: bool) -> tuple:
-    """ASCII-digit fields read vectorised: (their digits as one integer, digits after the point, read).
+def _ratings(data: bytes, raw, start, end) -> np.ndarray:
+    """The float64 ratings ``data[start:end]``: each distinct text converted once by ``float``.
 
-    A field is read when it holds 1 to ``max_digits`` digits and, if ``point``,
-    at most one '.'; ``read`` marks those fields.  The fields are read
-    right-aligned, a shorter field reading leading zeros.
+    A text that ``float`` rejects, or reads as non-finite, raises ValueError.
+    """
+    texts, codes = _encode_ids(data, raw, start, end)
+    values = np.array([float(text) for text in texts])
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite rating")
+    return values[codes]
+
+
+def _timestamps(data: bytes, raw, start, end) -> np.ndarray:
+    """The timestamps ``data[start:end]``, int64 or (beyond int64) object; ``int`` errors raise.
+
+    Fields of 1 to 18 ASCII digits are read vectorised, right-aligned (a
+    shorter field reading leading zeros); any other goes through ``int`` on
+    its text.
     """
     length = end - start
-    n = len(end)
-    mantissa = np.zeros(n, dtype=np.int64)
-    after = np.zeros(n, dtype=np.int64)
-    points = np.zeros(n, dtype=np.int64)
-    read = np.ones(n, dtype=bool)
+    timestamps = np.zeros(len(end), dtype=np.int64)
+    read = (length >= 1) & (length <= 18)
     shortest = int(length.min())
-    for j in reversed(range(min(int(length.max()), max_digits + point))):
+    for j in reversed(range(min(int(length.max()), 18))):
         byte = raw[end - 1 - j]  # index -1 - j at most, which numpy reads from the end
         if j >= shortest:
             byte = np.where(length > j, byte, np.uint8(ord("0")))
         digit = byte - np.uint8(ord("0"))
-        if point:
-            is_point = byte == ord(".")
-            points += is_point
-            after += j * is_point
-            read &= (digit < 10) | is_point
-            mantissa = np.where(is_point, mantissa, mantissa * 10 + digit)
-        else:
-            read &= digit < 10
-            mantissa *= 10
-            mantissa += digit
-    n_digits = length - points
-    read &= (n_digits >= 1) & (n_digits <= max_digits) & (points <= 1)
-    after[~read] = 0  # several points may sum past the table of powers
-    return mantissa, after, read
-
-
-def _unread_values(data: bytes, start, end, read, parse) -> tuple:
-    """(rows, values) of the fields not ``read``, each converted by ``parse`` on its text."""
+        read &= digit < 10
+        timestamps *= 10
+        timestamps += digit
     rows = np.flatnonzero(~read).tolist()
     bounds = zip(start[rows].tolist(), end[rows].tolist())
-    return rows, [parse(data[lo:hi].decode("utf-8")) for lo, hi in bounds]
-
-
-def _ratings(data: bytes, raw, start, end) -> np.ndarray:
-    """The float64 ratings ``data[start:end]``; ``float`` errors raise."""
-    mantissa, after, read = _plain_decimals(raw, start, end, 15, True)
-    ratings = mantissa / _POW10[after]
-    rows, values = _unread_values(data, start, end, read, float)
-    ratings[rows] = values
-    return ratings
-
-
-def _timestamps(data: bytes, raw, start, end) -> np.ndarray:
-    """The timestamps ``data[start:end]``, int64 or (beyond int64) object; ``int`` errors raise."""
-    timestamps, _, read = _plain_decimals(raw, start, end, 18, False)
-    rows, values = _unread_values(data, start, end, read, int)
+    values = [int(data[lo:hi].decode("utf-8")) for lo, hi in bounds]
     try:
         timestamps[rows] = values
     except OverflowError:  # a timestamp beyond int64: the column holds Python ints
@@ -359,13 +336,13 @@ def _parse_movielens_bulk(path) -> Optional[Interactions]:
     lines are dropped, and any other blank or whitespace-only line fails the tab
     count or the rating conversion.  The file is read as bytes: field bounds
     come from the tab and newline bytes, and ids are dictionary-encoded byte for
-    byte and decoded once per distinct id.  Ratings of at most 15 ASCII digits
-    and one '.' are read as integer / 10^d (both exact below 2**53, so the
-    quotient is correctly rounded, as ``float`` rounds), timestamps of at most
-    18 ASCII digits as integers; any other value goes through ``float`` or
-    ``int``, the per-line loop's own parsers, so the accepted syntax is the
-    same.  On any other file the caller runs ``_load_movielens100k``, which
-    skips blank lines and raises the ``path:line:`` message.
+    byte and decoded once per distinct id.  Ratings are encoded the same way,
+    and ``float``, the per-line loop's own parser, converts each distinct
+    rating text once, so bulk ratings are the loop's by construction.
+    Timestamps of at most 18 ASCII digits are read as integers, any other
+    through ``int``, the loop's parser, so the accepted syntax is the same.
+    On any other file the caller runs ``_load_movielens100k``, which skips
+    blank lines and raises the ``path:line:`` message.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -402,9 +379,7 @@ def _parse_movielens_bulk(path) -> Optional[Interactions]:
     try:
         users, items = _encode_ids(*column(0)), _encode_ids(*column(1))
         ratings, timestamps = _ratings(*column(2)), _timestamps(*column(3))
-    except ValueError:  # an empty id, or a value that float or int rejects
-        return None
-    if not np.isfinite(ratings).all():
+    except ValueError:  # an empty field, or a value that float or int rejects
         return None
     return Interactions(*users, *items, ratings, timestamps)
 

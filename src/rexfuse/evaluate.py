@@ -91,7 +91,7 @@ def _top_lists(factors, users: np.ndarray, train_keys: np.ndarray, k: int) -> np
     Algorithms*, 3.1).  So with B_u >= |s - G| and tau_u the k-th best candidate
     G, every candidate that can reach the k-th place has G >= tau_u - 2 B_u.
     ``score_pairs`` re-scores those and ``_rank_pairs`` ranks them, as ``topk``
-    does.  A row with a non-finite G or 2 R_u keeps all its candidates.
+    does.  A row with a non-finite 2 R_u keeps all its candidates.
     """
     P, Q = factors.user_factors, factors.item_factors
     n_items, width = len(Q), min(k, len(Q))
@@ -107,8 +107,8 @@ def _top_lists(factors, users: np.ndarray, train_keys: np.ndarray, k: int) -> np
             G = P[block] @ Q.T
             reach = np.max(np.abs(P[block]), axis=1) * q_reach  # R_u: no squares to overflow
             bound = 2 * (2 * gamma * reach + tiny)  # doubled: covers its own rounding
-            # a finite 2 * reach: no partial sum of either product can overflow
-            finite = np.isfinite(G).all(axis=1) & np.isfinite(reach + reach)
+            # a finite 2 * reach bounds every partial sum of G; NaN or inf factors make it non-finite
+            finite = np.isfinite(reach + reach)
             G[~finite] = 0.0
             seen = np.searchsorted(train_keys, block[:, None] * n_items + [0, n_items])
             for r, (lo, hi) in enumerate(seen.tolist()):

@@ -367,7 +367,28 @@ def test_bulk_converts_adversarial_values_as_the_loop_does(tmp_path, field):
     assert_same_rows(bulk, path)
 
 
-@pytest.mark.parametrize("rating", ["9" * 400, ".", "1..5", "-", "4.5.", "", "1.2.3.4.5.6.7.8"])
+# Ratings the bulk path must read as ``float`` does; the 17-digit decimal rounds to 5.0
+FLOAT_ONLY_RATINGS = ["4_0", " 4", "+4", "-0", "4.", ".5", "1e1", "٣", "3.5", "4.9999999999999999"]
+
+
+@pytest.mark.parametrize(
+    "ratings",
+    [[rating, "3", "0", rating] for rating in FLOAT_ONLY_RATINGS]
+    + [[f"{1 + k / 4099:.6f}" for k in range(4099)]],
+    ids=FLOAT_ONLY_RATINGS + ["all-distinct"],
+)
+def test_bulk_ratings_are_float_of_each_text(tmp_path, ratings):
+    rows = [[f"u{k % 7}", f"i{k % 11}", rating, str(k)] for k, rating in enumerate(ratings)]
+    path = movielens_file(tmp_path / "u.data", rows)
+    bulk = _parse_movielens_bulk(path)
+    assert bulk is not None
+    loop = _load_movielens100k(path).rating_column
+    assert bulk.rating_column.view(np.int64).tolist() == loop.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize(
+    "rating", ["9" * 400, ".", "1..5", "-", "4.5.", "", "1.2.3.4.5.6.7.8", "abc", "nan"]
+)
 def test_bulk_leaves_unreadable_ratings_to_the_loop(tmp_path, rating):
     path = movielens_file(tmp_path / "u.data", [["1", "2", "3", "4"], ["1", "3", rating, "4"]])
     assert _parse_movielens_bulk(path) is None

@@ -12,13 +12,15 @@ the losses, ``predict_pairs`` on the test split, the evaluation report at
 K=10 and at K = n_items (every candidate ranked), the top-10 list of every
 user, the ``recommend`` lists of every 7th user (with and without cold
 items) at K=10 and at K = n_items (every candidate listed) and the
-model-file bytes.  It also ingests the
-ratings as a MovieLens file, as a CRLF rendering of it (``\\r\\n`` line
-ends) and as a CSV rendering of the same rows, and records each dataset's
-user and item id lists and every train, validation and test column.  Its
-``cli`` mode runs ``rexfuse.cli.main`` in-process on the same files
-(``COLUMNS`` fixed, ``$REXFUSE_SEED`` unset; see ``cli_runs``) and records
-each run's stdout, stderr, exit code and the bytes of each file it writes.
+model-file bytes.  It also ingests the ratings as a MovieLens file, as a
+CRLF rendering of it (``\\r\\n`` line ends), as a decimal rendering
+(non-integer rating texts in several spellings, ``write_decimal_rendering``)
+and as a CSV rendering of the MovieLens file's rows, and records each
+dataset's user and item id lists and every train, validation and test
+column.  Its ``cli`` mode runs ``rexfuse.cli.main`` in-process on the same
+files (``COLUMNS`` fixed, ``$REXFUSE_SEED`` unset; see ``cli_runs``) and
+records each run's stdout, stderr, exit code and the bytes of each file it
+writes.
 
 It prints, per mode and output, ``bitwise`` (arrays), ``equal`` (lists,
 reports, file bytes) or the largest difference relative to the largest entry,
@@ -69,7 +71,10 @@ ULP_OUTPUTS = {"losses", "test_scores", "recommend_scores"}
 ULP_BOUND = 1e-12
 # the renderings of the ratings that are ingested: (file name, format)
 INGESTS = {"movielens100k": ("ratings.tsv", "movielens100k"),
-           "crlf": ("ratings-crlf.tsv", "movielens100k"), "csv": ("ratings.csv", "csv")}
+           "crlf": ("ratings-crlf.tsv", "movielens100k"),
+           "decimal": ("ratings-decimal.tsv", "movielens100k"), "csv": ("ratings.csv", "csv")}
+# the decimal rendering's spellings of a rating; row k takes SPELLINGS[k % 7]
+SPELLINGS = ("{}", "+{}", " {}", "{}e0", "0{}", "{}_0", "{:.17f}")
 
 
 def has_semantic_term(mode):
@@ -91,6 +96,15 @@ def write_csv_rendering(tsv, csv):
         dst.write("user_id,item_id,rating,timestamp\n")
         for line in src:
             dst.write(line.replace("\t", ","))
+
+
+def write_decimal_rendering(tsv, decimal):
+    """The MovieLens file with row k's rating r written as r - (k mod 8)/8, spelled by ``SPELLINGS``."""
+    with open(tsv, encoding="utf-8") as src, open(decimal, "w", encoding="utf-8") as dst:
+        for k, line in enumerate(src):
+            user, item, rating, stamp = line.split("\t")
+            text = SPELLINGS[k % len(SPELLINGS)].format(int(rating) - (k % 8) / 8)
+            dst.write("\t".join((user, item, text, stamp)))
 
 
 def write_crlf_rendering(tsv, crlf):
@@ -280,6 +294,7 @@ def main(argv=None):
         gen.write_longtail(tmp / "ratings.tsv", tmp / "texts.jsonl", SEED, **SHAPE)
         write_csv_rendering(tmp / "ratings.tsv", tmp / "ratings.csv")
         write_crlf_rendering(tmp / "ratings.tsv", tmp / "ratings-crlf.tsv")
+        write_decimal_rendering(tmp / "ratings.tsv", tmp / "ratings-decimal.tsv")
         base_src = export_src(args.base, tmp / "base")
         base = run_child(base_src, str(tmp), str(tmp / "base.pickle"))
         head = run_child(str(ROOT / "src"), str(tmp), str(tmp / "head.pickle"))
