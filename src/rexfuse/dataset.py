@@ -24,7 +24,6 @@ class Interaction:
     user: str
     item: str
     rating: float
-    timestamp: Optional[int] = None
 
 
 class IdIndex:
@@ -66,24 +65,14 @@ def _dictionary(values: list) -> tuple:
     return list(codes), column
 
 
-def _timestamp_column(values: list) -> np.ndarray:
-    """Timestamps as int64, or as objects where one is missing or beyond int64."""
-    if all(type(t) is int for t in values):
-        try:
-            return np.array(values, dtype=np.int64)
-        except OverflowError:
-            pass
-    return np.fromiter(values, object, len(values))
-
-
 @dataclass(eq=False)
 class Interactions:
     """Interactions as dictionary-encoded columns: the table ``build_dataset`` reads.
 
     Each id column is its distinct ids in first-appearance order (``user_ids``,
     ``item_ids``) and an int64 code per row into them (``user_codes``,
-    ``item_codes``); ``rating_column`` is float64 and ``timestamp_column`` int64,
-    or object when a timestamp was missing or beyond int64.
+    ``item_codes``); ``rating_column`` is float64.  Timestamps are checked on
+    load, not kept.
     """
 
     user_ids: list
@@ -91,7 +80,6 @@ class Interactions:
     item_ids: list
     item_codes: np.ndarray
     rating_column: np.ndarray
-    timestamp_column: np.ndarray
 
     @classmethod
     def of(cls, interactions) -> "Interactions":
@@ -103,7 +91,6 @@ class Interactions:
             *_dictionary([x.user for x in rows]),
             *_dictionary([x.item for x in rows]),
             np.fromiter((x.rating for x in rows), np.float64, len(rows)),
-            _timestamp_column([x.timestamp for x in rows]),
         )
 
     def __len__(self) -> int:
@@ -177,7 +164,7 @@ class ItemTextCorpus:
 
 
 def _interaction(path, lineno, user, item, rating, ts="") -> Interaction:
-    """One parsed input row; a blank or missing timestamp reads as None."""
+    """One parsed input row; the timestamp, blank, missing or an integer, is checked, not kept."""
     if not user or not item:
         raise ValueError(f"{path}:{lineno}: empty user or item id")
     try:
@@ -188,9 +175,10 @@ def _interaction(path, lineno, user, item, rating, ts="") -> Interaction:
         raise ValueError(f"{path}:{lineno}: non-finite rating {rating!r}")
     ts = ts.strip()
     try:
-        return Interaction(user, item, value, int(ts) if ts else None)
+        int(ts or "0")
     except ValueError:
         raise ValueError(f"{path}:{lineno}: non-integer timestamp {ts!r}") from None
+    return Interaction(user, item, value)
 
 
 def _text_lines(path, encoding="utf-8", newline=None):
@@ -263,15 +251,25 @@ def _encode_ids(data: bytes, raw, start, end) -> tuple:
 
     Reads an id column or the rating column.  The texts are decoded once each,
     in first-appearance order.  Fields of different lengths differ; fields of
-    one length are grouped byte for byte.  An empty field raises ValueError.
+    one length are grouped byte for byte, in one word pass per four bytes of
+    each distinct length.  A pass costs a few numpy calls whatever its row
+    count, so a column whose widest field is wider than its row count, or
+    whose lengths need more passes than it has rows, is encoded field by
+    field instead.  An empty field raises ValueError.
     """
     length = end - start
     if not length.all():
         raise ValueError("empty field")
-    codes = np.empty(len(start), dtype=np.int64)
+    n = len(start)
+    # checked before bincount, which allocates 8 bytes per byte of the widest field
+    widths = np.flatnonzero(np.bincount(length)).tolist() if int(length.max()) <= n else None
+    if widths is None or sum((width + 3) // 4 for width in widths) > n:
+        texts, codes = _dictionary([data[lo:hi] for lo, hi in zip(start.tolist(), end.tolist())])
+        return [text.decode("utf-8") for text in texts], codes
+    codes = np.empty(n, dtype=np.int64)
     firsts = []
     n_distinct = 0
-    for width in np.flatnonzero(np.bincount(length)).tolist():
+    for width in widths:
         rows = np.flatnonzero(length == width)
         order, first = _equal_byte_groups(raw, start[rows], width)
         codes[rows[order]] = np.cumsum(first) - 1 + n_distinct
@@ -297,34 +295,20 @@ def _ratings(data: bytes, raw, start, end) -> np.ndarray:
     return values[codes]
 
 
-def _timestamps(data: bytes, raw, start, end) -> np.ndarray:
-    """The timestamps ``data[start:end]``, int64 or (beyond int64) object; ``int`` errors raise.
+def _check_timestamps(data: bytes, raw, start, end) -> None:
+    """Raise ValueError unless ``int`` reads each timestamp ``data[start:end]``.
 
-    Fields of 1 to 18 ASCII digits are read vectorised, right-aligned (a
-    shorter field reading leading zeros); any other goes through ``int`` on
-    its text.
+    Fields of 1 to 18 ASCII digits pass vectorised; any other goes through
+    ``int`` on its text.
     """
     length = end - start
-    timestamps = np.zeros(len(end), dtype=np.int64)
-    read = (length >= 1) & (length <= 18)
-    shortest = int(length.min())
-    for j in reversed(range(min(int(length.max()), 18))):
+    digits = (length >= 1) & (length <= 18)
+    for j in range(min(int(length.max()), 18)):
         byte = raw[end - 1 - j]  # index -1 - j at most, which numpy reads from the end
-        if j >= shortest:
-            byte = np.where(length > j, byte, np.uint8(ord("0")))
-        digit = byte - np.uint8(ord("0"))
-        read &= digit < 10
-        timestamps *= 10
-        timestamps += digit
-    rows = np.flatnonzero(~read).tolist()
-    bounds = zip(start[rows].tolist(), end[rows].tolist())
-    values = [int(data[lo:hi].decode("utf-8")) for lo, hi in bounds]
-    try:
-        timestamps[rows] = values
-    except OverflowError:  # a timestamp beyond int64: the column holds Python ints
-        timestamps = timestamps.astype(object)
-        timestamps[rows] = values
-    return timestamps
+        digits &= (byte - np.uint8(ord("0")) < 10) | (length <= j)
+    rows = np.flatnonzero(~digits).tolist()
+    for lo, hi in zip(start[rows].tolist(), end[rows].tolist()):
+        int(data[lo:hi].decode("utf-8"))
 
 
 def _parse_movielens_bulk(path) -> Optional[Interactions]:
@@ -339,8 +323,9 @@ def _parse_movielens_bulk(path) -> Optional[Interactions]:
     byte and decoded once per distinct id.  Ratings are encoded the same way,
     and ``float``, the per-line loop's own parser, converts each distinct
     rating text once, so bulk ratings are the loop's by construction.
-    Timestamps of at most 18 ASCII digits are read as integers, any other
-    through ``int``, the loop's parser, so the accepted syntax is the same.
+    Timestamps are checked, not kept: one of 1 to 18 ASCII digits passes as
+    it is, any other goes through ``int``, the loop's parser, so the accepted
+    syntax is the same.
     On any other file the caller runs ``_load_movielens100k``, which skips
     blank lines and raises the ``path:line:`` message.
     """
@@ -378,10 +363,11 @@ def _parse_movielens_bulk(path) -> Optional[Interactions]:
 
     try:
         users, items = _encode_ids(*column(0)), _encode_ids(*column(1))
-        ratings, timestamps = _ratings(*column(2)), _timestamps(*column(3))
+        ratings = _ratings(*column(2))
+        _check_timestamps(*column(3))
     except ValueError:  # an empty field, or a value that float or int rejects
         return None
-    return Interactions(*users, *items, ratings, timestamps)
+    return Interactions(*users, *items, ratings)
 
 
 _CSV_BASE_HEADER = ["user_id", "item_id", "rating"]

@@ -24,7 +24,7 @@ def only_row(table):
     """The single row of a one-row ``Interactions`` table."""
     assert len(table) == 1
     (user,), (item,) = table.user_ids, table.item_ids
-    return Interaction(user, item, table.rating_column.item(), table.timestamp_column.item())
+    return Interaction(user, item, table.rating_column.item())
 
 
 # ---------------------------------------------------------------- loading
@@ -32,7 +32,7 @@ def only_row(table):
 def test_movielens_line_maps_fields(tmp_path):
     path = write(tmp_path / "u.data", "196\t242\t3\t881250949\n")
     inter = only_row(load_interactions(path, "movielens100k"))
-    assert inter == Interaction(user="196", item="242", rating=3.0, timestamp=881250949)
+    assert inter == Interaction(user="196", item="242", rating=3.0)
 
 
 def test_movielens_wrong_field_count_names_line(tmp_path):
@@ -49,13 +49,13 @@ def test_movielens_skips_blank_lines(tmp_path):
 def test_csv_with_header_no_timestamp(tmp_path):
     path = write(tmp_path / "r.csv", "user_id,item_id,rating\nu1,i1,4.5\n")
     inter = only_row(load_interactions(path, "csv"))
-    assert inter == Interaction(user="u1", item="i1", rating=4.5, timestamp=None)
+    assert inter == Interaction(user="u1", item="i1", rating=4.5)
 
 
 def test_csv_with_timestamp_column(tmp_path):
     path = write(tmp_path / "r.csv", "user_id,item_id,rating,timestamp\nu1,i1,2,99\n")
     inter = only_row(load_interactions(path, "csv"))
-    assert inter.timestamp == 99
+    assert inter == Interaction(user="u1", item="i1", rating=2.0)
 
 
 def test_csv_non_numeric_rating_cites_line_2(tmp_path):

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from rexfuse import dataset
 from rexfuse.dataset import (
-    Interaction,
     Interactions,
     _load_movielens100k,
     _parse_movielens_bulk,
@@ -89,14 +88,12 @@ def render(rows, faults, final_newline, bom, sep):
 
 
 def columns(table):
-    """What ``build_dataset`` reads of ``table``: ids and codes, rating bits, typed timestamps."""
+    """What ``build_dataset`` reads of ``table``: ids and codes, and rating bits."""
     return {
         "user_ids": table.user_ids,
         "item_ids": table.item_ids,
         "codes": [(c.dtype.str, c.tobytes()) for c in (table.user_codes, table.item_codes)],
         "ratings": (table.rating_column.dtype.str, table.rating_column.tobytes()),
-        "timestamps": (table.timestamp_column.dtype.str,
-                       [(type(t), t) for t in table.timestamp_column.tolist()]),
     }
 
 
@@ -246,6 +243,8 @@ def test_crlf_files_take_the_bulk_path(tmp_path, text):
         ("1\t2\t3\t4\n\t6\t1\t7", "2: empty user or item id"),
         ("1\t2\tinf\t4\n", "1: non-finite rating 'inf'"),
         ("1\t2\t3\t4\n5\t6\t1\t 7.5 \n", "2: non-integer timestamp '7.5'"),
+        # past int's 4300-digit limit for str conversion
+        ("1\t2\t3\t4\n5\t6\t1\t" + "9" * 5000 + "\n", f"2: non-integer timestamp '{'9' * 5000}'"),
     ],
 )
 def test_bad_rows_raise_the_per_line_message(tmp_path, text, message):
@@ -259,22 +258,16 @@ def test_bad_rows_raise_the_per_line_message(tmp_path, text, message):
 # ---------------------------------------------------------------- columns
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(3, 80), st.integers(0, 2**16),
-       st.sampled_from([None, 0, 2**63 - 1, 2**63, 2**70]))
-def test_build_dataset_matches_per_row_reference(fuzz_dir, data_seed, n, split_seed, stamp):
-    rows = [Interaction(x.user, x.item, x.rating, stamp if k == 0 else k)
-            for k, x in enumerate(random_interactions(np.random.default_rng(data_seed), n))]
+@given(st.integers(0, 2**32 - 1), st.integers(3, 80), st.integers(0, 2**16))
+def test_build_dataset_matches_per_row_reference(fuzz_dir, data_seed, n, split_seed):
+    rows = random_interactions(np.random.default_rng(data_seed), n)
     user_ids, item_ids, splits = build_dataset_reference(rows, split_seed)
-    # the rows as columns: first-appearance ids and their codes, and int64
-    # timestamps unless one is missing or beyond int64
+    # the rows as columns: first-appearance ids and their codes
     table = Interactions.of(rows)
     assert Interactions.of(table) is table
     assert (table.user_ids, table.item_ids) == (user_ids, item_ids)
     assert table.user_codes.tolist() == [user_ids.index(x.user) for x in rows]
     assert table.item_codes.tolist() == [item_ids.index(x.item) for x in rows]
-    wide = stamp is None or stamp >= 2**63
-    assert table.timestamp_column.dtype == (object if wide else np.int64)
-    assert table.timestamp_column.tolist() == [x.timestamp for x in rows]
     path = fuzz_dir / "encoded.data"
     path.write_text("".join(f"{x.user}\t{x.item}\t{x.rating}\t0\n" for x in rows), encoding="utf-8")
     encoded = _parse_movielens_bulk(path)  # the columns as the byte parser encodes them
@@ -327,13 +320,34 @@ def assert_same_rows(bulk, path):
     assert columns(bulk) == columns(_load_movielens100k(path))
 
 
+def bulk_and_widths(path):
+    """``_parse_movielens_bulk(path)``, and the width of each group its word passes sorted."""
+    with mock.patch.object(dataset, "_equal_byte_groups", wraps=dataset._equal_byte_groups) as spy:
+        bulk = _parse_movielens_bulk(path)
+    return bulk, [call.args[2] for call in spy.call_args_list]
+
+
 @pytest.mark.parametrize("case", ID_CASES)
 def test_bulk_encodes_adversarial_ids_as_the_loop_reads_them(tmp_path, case):
-    path = movielens_file(tmp_path / "u.data", interleaved(ID_CASES[case]))
-    bulk = _parse_movielens_bulk(path)
+    # enough rows that "widths 1-300" (a 300-byte id, 87 word passes) keeps the word-pass encoder
+    path = movielens_file(tmp_path / "u.data", interleaved(ID_CASES[case], repeats=34))
+    bulk, widths = bulk_and_widths(path)
     assert bulk is not None
     assert_same_rows(bulk, path)
     assert sorted(bulk.user_ids) == sorted(bulk.item_ids) == sorted(set(ID_CASES[case]))
+    assert {len(i.encode()) for i in ID_CASES[case]} <= set(widths)
+
+
+def test_bulk_reads_a_wide_id_without_word_passes(tmp_path):
+    """A 400 KB user id: its word passes would cost about four numpy calls per byte."""
+    wide = width(400_000)
+    rows = [["1", "2", "3", "4"], [wide, "5", "1", "7"], ["1", "5", "2", "9"]]
+    path = movielens_file(tmp_path / "u.data", rows)
+    bulk, widths = bulk_and_widths(path)
+    assert bulk is not None
+    assert_same_rows(bulk, path)
+    assert bulk.user_ids == ["1", wide]
+    assert widths == [1, 1]  # the item and rating columns; the user column went field by field
 
 
 def test_bulk_keeps_a_bom_in_the_first_user_id(tmp_path):

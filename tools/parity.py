@@ -14,7 +14,9 @@ user, the ``recommend`` lists of every 7th user (with and without cold
 items) at K=10 and at K = n_items (every candidate listed) and the
 model-file bytes.  It also ingests the ratings as a MovieLens file, as a
 CRLF rendering of it (``\\r\\n`` line ends), as a decimal rendering
-(non-integer rating texts in several spellings, ``write_decimal_rendering``)
+(non-integer rating texts in several spellings, ``write_decimal_rendering``),
+as a wide rendering (one user id of ``WIDE_ID`` bytes, which the bulk parser
+encodes field by field rather than in word passes, ``write_wide_rendering``)
 and as a CSV rendering of the MovieLens file's rows, and records each
 dataset's user and item id lists and every train, validation and test
 column.  Its ``cli`` mode runs ``rexfuse.cli.main`` in-process on the same
@@ -72,9 +74,12 @@ ULP_BOUND = 1e-12
 # the renderings of the ratings that are ingested: (file name, format)
 INGESTS = {"movielens100k": ("ratings.tsv", "movielens100k"),
            "crlf": ("ratings-crlf.tsv", "movielens100k"),
-           "decimal": ("ratings-decimal.tsv", "movielens100k"), "csv": ("ratings.csv", "csv")}
+           "decimal": ("ratings-decimal.tsv", "movielens100k"),
+           "wide": ("ratings-wide.tsv", "movielens100k"), "csv": ("ratings.csv", "csv")}
 # the decimal rendering's spellings of a rating; row k takes SPELLINGS[k % 7]
 SPELLINGS = ("{}", "+{}", " {}", "{}e0", "0{}", "{}_0", "{:.17f}")
+# the wide rendering's first user id, left-padded with zeros to this many bytes
+WIDE_ID = 200_000
 
 
 def has_semantic_term(mode):
@@ -105,6 +110,14 @@ def write_decimal_rendering(tsv, decimal):
             user, item, rating, stamp = line.split("\t")
             text = SPELLINGS[k % len(SPELLINGS)].format(int(rating) - (k % 8) / 8)
             dst.write("\t".join((user, item, text, stamp)))
+
+
+def write_wide_rendering(tsv, wide):
+    """The MovieLens file with its first row's user id left-padded with zeros to ``WIDE_ID`` bytes."""
+    with open(tsv, encoding="utf-8") as src, open(wide, "w", encoding="utf-8") as dst:
+        user, rest = next(src).split("\t", 1)
+        dst.write(f"{user:0>{WIDE_ID}}\t{rest}")
+        dst.writelines(src)
 
 
 def write_crlf_rendering(tsv, crlf):
@@ -295,6 +308,7 @@ def main(argv=None):
         write_csv_rendering(tmp / "ratings.tsv", tmp / "ratings.csv")
         write_crlf_rendering(tmp / "ratings.tsv", tmp / "ratings-crlf.tsv")
         write_decimal_rendering(tmp / "ratings.tsv", tmp / "ratings-decimal.tsv")
+        write_wide_rendering(tmp / "ratings.tsv", tmp / "ratings-wide.tsv")
         base_src = export_src(args.base, tmp / "base")
         base = run_child(base_src, str(tmp), str(tmp / "base.pickle"))
         head = run_child(str(ROOT / "src"), str(tmp), str(tmp / "head.pickle"))
