@@ -204,9 +204,8 @@ def evaluate_model(
         raise ValueError(f"no user has a test item rated >= {config.relevance_threshold}")
     users = _distinct(relevant // n_items)
     _check_index(users, model.n_users, "user")
-    factors = model.fused if isinstance(model, HybridModel) else model
     train_keys = np.sort(train.users * n_items + train.items)
-    lists = _top_lists(factors, users, train_keys, config.top_k)
+    lists = _top_lists(model, users, train_keys, config.top_k)
     ranked = lists >= 0
     keys = (users[:, None] * n_items + lists)[ranked]
     hits = np.count_nonzero(np.isin(keys, relevant, assume_unique=True, kind="sort"))

@@ -1,7 +1,5 @@
 """Fusion of latent-factor and semantic scores, cold-start scoring, joint training."""
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .dataset import InteractionDataset, ItemTextCorpus
@@ -22,8 +20,7 @@ from .semantic import ItemEmbeddingTable, embed_corpus
 DEFAULT_EMBED_DIM = 64
 
 
-@dataclass
-class HybridModel:
+class HybridModel(FactorModel):
     """Latent factors plus a learned projection of item embeddings.
 
     ``projection`` maps embedding space into latent space so the semantic
@@ -32,46 +29,31 @@ class HybridModel:
     plus ``alpha`` times that scalar; the convex mode blends the two sides as
     (1 - alpha) * cf + alpha * semantic instead.
 
-    Both scores are factor scores, built once when the model is made: ``fused``
-    by ``fused_factors``, ``semantic`` = (P, V) with V = E @ projection.T.
+    The model is the factor model of its fused score, built once by
+    ``fused_factors``: its own ``user_factors`` and ``item_factors`` are
+    (P, cf_w * Q + sem_w * V) with V = E @ projection.T, so it scores wherever
+    a ``FactorModel`` does.  ``factors`` is the trained pair (P, Q) and
+    ``semantic`` the factor model (P, V) of the semantic term alone.
     """
 
-    factors: FactorModel
-    projection: np.ndarray  # (n_factors, embedding dim)
-    embeddings: ItemEmbeddingTable
-    alpha: float
-    fusion: str = FUSION_ADDITIVE
-    fused: FactorModel = field(init=False, repr=False, compare=False)
-    semantic: FactorModel = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        expected = (self.factors.n_factors, self.embeddings.dim)
-        if self.projection.shape != expected:
-            raise ValueError(
-                f"projection shape {self.projection.shape} does not match {expected}"
-            )
-        V = _projected_catalogue(self.embeddings.dense(self.n_items), self.projection)
-        self.fused = fused_factors(self.factors, V, self.alpha, self.fusion)
-        self.semantic = FactorModel(self.factors.user_factors, V)
-
-    @property
-    def n_users(self) -> int:
-        return self.factors.n_users
-
-    @property
-    def n_items(self) -> int:
-        return self.factors.n_items
+    def __init__(self, factors: FactorModel, projection: np.ndarray,
+                 embeddings: ItemEmbeddingTable, alpha: float, fusion: str = FUSION_ADDITIVE):
+        expected = (factors.n_factors, embeddings.dim)
+        if projection.shape != expected:
+            raise ValueError(f"projection shape {projection.shape} does not match {expected}")
+        V = _projected_catalogue(embeddings.dense(factors.n_items), projection)
+        fused = fused_factors(factors, V, alpha, fusion)
+        super().__init__(fused.user_factors, fused.item_factors)
+        self.factors = factors
+        self.projection = projection  # (n_factors, embedding dim)
+        self.embeddings = embeddings
+        self.alpha = alpha
+        self.fusion = fusion
+        self.semantic = FactorModel(factors.user_factors, V)
 
     def semantic_scores(self, u: int, items: np.ndarray) -> np.ndarray:
         """Semantic term P_u.V_i alone: the factor score against the projected catalogue."""
         return self.semantic.score_items(u, items)
-
-    def score_items(self, u: int, items: np.ndarray) -> np.ndarray:
-        """Fused scores for one user against item indices, or ``slice(None)`` for the catalogue."""
-        return self.fused.score_items(u, items)
-
-    def predict_pairs(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        return self.fused.predict_pairs(users, items)
 
 
 def semantic_score(model: HybridModel, u: int, i: int) -> float:

@@ -3,7 +3,7 @@
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -28,7 +28,7 @@ class ModelBundle:
     """
 
     mode: str
-    model: Union[FactorModel, HybridModel]
+    model: FactorModel  # a HybridModel in hybrid mode
     users: IdIndex
     items: IdIndex
     config: TrainConfig
@@ -38,7 +38,11 @@ class ModelBundle:
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
-    """Write the bundle as version-1 JSON; floats round-trip exactly."""
+    """Write the bundle as version-1 JSON; floats round-trip exactly.
+
+    Ids or counts that ``load_bundle`` would refuse raise its one-line field
+    error, and an error of any kind leaves ``path`` as it was.
+    """
     if bundle.mode not in (MODE_MF, MODE_HYBRID):
         raise ValueError(f"unknown model mode {bundle.mode!r}")
     hybrid = bundle.mode == MODE_HYBRID
@@ -69,8 +73,32 @@ def save_bundle(bundle: ModelBundle, path) -> None:
         "split_seed": bundle.split_seed,
         "embedding_provider": bundle.embedding_provider,
     }
+    _check_ids(path, "users", doc["users"], factors.n_users)
+    _check_ids(path, "items", doc["items"], factors.n_items)
+    _check_counts(path, doc["item_train_counts"], factors.n_items)
+    text = json.dumps(doc, default=json_number) + "\n"  # json.dump skips the C encoder
+    # opened only once the text exists, so a failed save leaves an older file whole
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, default=json_number) + "\n")  # json.dump skips the C encoder
+        fh.write(text)
+
+
+def _field_error(path, name, problem):
+    return ValueError(f"{path}: field {name!r} {problem}")
+
+
+def _check_ids(path, name, raw, rows):
+    if not (isinstance(raw, list) and all(isinstance(x, str) for x in raw)
+            and len(set(raw)) == len(raw) == rows):
+        raise _field_error(path, name, f"must list {rows} distinct string ids, one per factor row")
+
+
+def _check_counts(path, counts, n_items):
+    # a negative count would make an item neither warm (> 0) nor cold (== 0)
+    if not (isinstance(counts, list) and len(counts) == n_items
+            and all(type(c) is int and 0 <= c < 2**63 for c in counts)):
+        raise _field_error(
+            path, "item_train_counts", f"must list {n_items} non-negative integers, one per item"
+        )
 
 
 def load_bundle(path) -> ModelBundle:
@@ -95,7 +123,7 @@ def load_bundle(path) -> ModelBundle:
         raise ValueError(f"{path}: unknown model mode {mode!r}")
 
     def bad(name, problem):
-        return ValueError(f"{path}: field {name!r} {problem}")
+        return _field_error(path, name, problem)
 
     def need(name):
         if name not in doc:
@@ -117,9 +145,7 @@ def load_bundle(path) -> ModelBundle:
 
     def ids(name, rows):
         raw = need(name)
-        if not (isinstance(raw, list) and all(isinstance(x, str) for x in raw)
-                and len(set(raw)) == len(raw) == rows):
-            raise bad(name, f"must list {rows} distinct string ids, one per factor row")
+        _check_ids(path, name, raw, rows)
         return IdIndex(raw)
 
     def factor_rows(name, k):
@@ -133,10 +159,7 @@ def load_bundle(path) -> ModelBundle:
     n_items = factors.n_items
     users, items = ids("users", factors.n_users), ids("items", n_items)
     counts = need("item_train_counts")
-    # a negative count would make an item neither warm (> 0) nor cold (== 0)
-    if not (isinstance(counts, list) and len(counts) == n_items
-            and all(type(c) is int and 0 <= c < 2**63 for c in counts)):
-        raise bad("item_train_counts", f"must list {n_items} non-negative integers, one per item")
+    _check_counts(path, counts, n_items)
     counts = np.array(counts, dtype=np.int64)
     model = factors
     if mode == MODE_HYBRID:

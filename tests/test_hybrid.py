@@ -13,6 +13,7 @@ from rexfuse.mf import (
     FactorModel,
     TrainConfig,
     TrainingDiverged,
+    fusion_weights,
     init_factors,
     loss_gradients,
     loss_regularized,
@@ -20,6 +21,7 @@ from rexfuse.mf import (
     train_mf,
 )
 from rexfuse.dataset import build_dataset, load_interactions
+from rexfuse.evaluate import EvalConfig, evaluate_model
 from rexfuse.semantic import embed_corpus
 
 from conftest import dense_dataset, embedding_table, random_interactions
@@ -168,6 +170,30 @@ def test_cold_start_never_reads_item_factors():
     after = [predict_cold_start(model, u, 2) for u in range(model.n_users)]
     assert before == after
 
+
+
+@pytest.mark.parametrize(
+    "fusion, alpha", [("additive", 0.0), ("convex", 0.0), ("additive", 0.5), ("convex", 0.3),
+                      ("convex", 1.0)],
+)
+def test_hybrid_model_is_the_factor_model_of_its_fused_score(fusion, alpha):
+    rng = np.random.default_rng(31)
+    ds = build_dataset(random_interactions(rng, 400, n_users=20, n_items=30), split_seed=3)
+    k, dim = 4, 6
+    factors = FactorModel(rng.normal(size=(ds.n_users, k)), rng.normal(size=(ds.n_items, k)))
+    table = embedding_table(dim, {i: rng.normal(size=dim) for i in range(ds.n_items) if i % 4})
+    model = HybridModel(factors, rng.normal(size=(k, dim)), table, alpha, fusion)
+    assert isinstance(model, FactorModel)
+    assert model.user_factors is factors.user_factors
+    cf_w, sem_w = fusion_weights(alpha, fusion)
+    if sem_w == 0.0:
+        assert model.item_factors is factors.item_factors
+    else:
+        expected = cf_w * factors.item_factors + sem_w * model.semantic.item_factors
+        assert model.item_factors.tobytes() == expected.tobytes()
+    plain = FactorModel(model.user_factors, model.item_factors)
+    config = EvalConfig(top_k=5)
+    assert evaluate_model(model, ds, config) == evaluate_model(plain, ds, config)
 
 # ---------------------------------------------------------------- training
 

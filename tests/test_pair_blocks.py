@@ -40,7 +40,7 @@ def scoring_models(seed=0, n_users=40, n_items=70, k=9, dim=6):
     factors = FactorModel(rng.normal(size=(n_users, k)), rng.normal(size=(n_items, k)))
     table = embedding_table(dim, {i: rng.normal(size=dim) for i in range(0, n_items, 3)})
     hybrid = HybridModel(factors, rng.normal(size=(k, dim)), table, alpha=0.7)
-    return {"mf": factors, "fused": hybrid.fused, "semantic": hybrid.semantic}
+    return {"mf": factors, "fused": hybrid, "semantic": hybrid.semantic}
 
 
 def random_pairs(rng, n, n_users, n_items):

@@ -174,6 +174,67 @@ def test_save_rejects_a_mode_that_disagrees_with_the_model(tmp_path, make, mode,
     assert not (tmp_path / "model.json").exists()
 
 
+
+def test_a_failing_save_leaves_the_old_file_whole(tmp_path):
+    path = tmp_path / "model.json"
+    _, bundle = mf_bundle()
+    save_bundle(bundle, path)
+    before = path.read_bytes()
+    _, bundle = hybrid_bundle()
+    bundle.embedding_provider = {"kind": "file", "path": tmp_path / "emb.jsonl"}
+    with pytest.raises(TypeError, match="PosixPath|WindowsPath"):
+        save_bundle(bundle, path)
+    assert path.read_bytes() == before
+    assert load_bundle(path).mode == "mf"
+
+
+def _short_counts(bundle):
+    bundle.item_train_counts = np.append(bundle.item_train_counts, 1)
+    return "item_train_counts", f"must list {bundle.model.n_items} non-negative integers, one per item"
+
+
+def _negative_count_at_save(bundle):
+    bundle.item_train_counts = bundle.item_train_counts.copy()
+    bundle.item_train_counts[0] = -1
+    return "item_train_counts", f"must list {bundle.model.n_items} non-negative integers, one per item"
+
+
+def _fractional_counts(bundle):
+    bundle.item_train_counts = bundle.item_train_counts + 0.5
+    return "item_train_counts", f"must list {bundle.model.n_items} non-negative integers, one per item"
+
+
+def _missing_user_id(bundle):
+    bundle.users = IdIndex(bundle.users.ids[:-1])
+    return "users", f"must list {bundle.model.n_users} distinct string ids, one per factor row"
+
+
+def _extra_item_id(bundle):
+    bundle.items = IdIndex(bundle.items.ids + ["extra"])
+    return "items", f"must list {bundle.model.n_items} distinct string ids, one per factor row"
+
+
+def _integer_item_ids(bundle):
+    bundle.items = IdIndex(range(bundle.model.n_items))
+    return "items", f"must list {bundle.model.n_items} distinct string ids, one per factor row"
+
+
+@pytest.mark.parametrize("make", [mf_bundle, hybrid_bundle])
+@pytest.mark.parametrize(
+    "corrupt",
+    [_short_counts, _negative_count_at_save, _fractional_counts,
+     _missing_user_id, _extra_item_id, _integer_item_ids],
+)
+def test_save_refuses_what_load_would_refuse(tmp_path, make, corrupt):
+    """Ids that do not fit the factor rows, or counts that do not fit the items, write no file."""
+    _, bundle = make()
+    name, problem = corrupt(bundle)
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError) as info:
+        save_bundle(bundle, path)
+    assert str(info.value) == f"{path}: field {name!r} {problem}"
+    assert not path.exists()
+
 def test_boolean_alpha_rejected(tmp_path):
     _, bundle = hybrid_bundle()
     path = tmp_path / "model.json"

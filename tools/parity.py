@@ -11,18 +11,19 @@ ratings; k=32, lr 0.02, 3 epochs) and records P, Q, ``W``, the embeddings,
 the losses, ``predict_pairs`` on the test split, the evaluation report at
 K=10 and at K = n_items (every candidate ranked), the top-10 list of every
 user, the ``recommend`` lists of every 7th user (with and without cold
-items) at K=10 and at K = n_items (every candidate listed) and the
-model-file bytes.  It also ingests the ratings as a MovieLens file, as a
-CRLF rendering of it (``\\r\\n`` line ends), as a decimal rendering
-(non-integer rating texts in several spellings, ``write_decimal_rendering``),
-as a wide rendering (one user id of ``WIDE_ID`` bytes, which the bulk parser
-encodes field by field rather than in word passes, ``write_wide_rendering``)
-and as a CSV rendering of the MovieLens file's rows, and records each
-dataset's user and item id lists and every train, validation and test
-column.  Its ``cli`` mode runs ``rexfuse.cli.main`` in-process on the same
-files (``COLUMNS`` fixed, ``$REXFUSE_SEED`` unset; see ``cli_runs``) and
-records each run's stdout, stderr, exit code and the bytes of each file it
-writes.
+items) at K=10 and at K = n_items (every candidate listed), the model-file
+bytes and the K=10 report of the model ``load_bundle`` reads back from that
+file (the ``cli`` mode reloads only alpha = 0 models).  It also ingests the
+ratings as a MovieLens file, as a CRLF rendering of it (``\\r\\n`` line
+ends), as a decimal rendering (non-integer rating texts in several spellings,
+``write_decimal_rendering``), as a wide rendering (one user id of ``WIDE_ID``
+bytes, which the bulk parser encodes field by field rather than in word
+passes, ``write_wide_rendering``) and as a CSV rendering of the MovieLens
+file's rows, and records each dataset's user and item id lists and every
+train, validation and test column.  Its ``cli`` mode runs
+``rexfuse.cli.main`` in-process on the same files (``COLUMNS`` fixed,
+``$REXFUSE_SEED`` unset; see ``cli_runs``) and records each run's stdout,
+stderr, exit code and the bytes of each file it writes.
 
 It prints, per mode and output, ``bitwise`` (arrays), ``equal`` (lists,
 reports, file bytes) or the largest difference relative to the largest entry,
@@ -184,8 +185,8 @@ def drive(src, data_dir):
     import rexfuse
     from rexfuse import (
         EvalConfig, ModelBundle, TrainConfig, build_dataset, embed_corpus, evaluate_model,
-        load_interactions, load_item_text, recommend_for_user, save_bundle, topk, train_hybrid,
-        train_mf,
+        load_bundle, load_interactions, load_item_text, recommend_for_user, save_bundle, topk,
+        train_hybrid, train_mf,
     )
 
     if not Path(rexfuse.__file__).resolve().is_relative_to(Path(src).resolve()):
@@ -234,6 +235,9 @@ def drive(src, data_dir):
             # every candidate listed: a leaked or wrongly routed item changes these lists
             recommend_all=[[(i, label) for i, _, label in row] for row in rows_all],
             model_file=path.read_bytes(),
+            reloaded_report=evaluate_model(
+                load_bundle(path).model, dataset, EvalConfig(top_k=TOP_K)
+            ).to_json(),
         )
         results[mode] = outputs
     results["cli"] = cli_outputs(data_dir, dataset.users.ids[::300])
