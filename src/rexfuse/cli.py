@@ -94,6 +94,9 @@ def _print_reports(args, reports, json_value):
 
 
 def cmd_train(args) -> int:
+    # refused before any training; the file itself is opened only once its text exists
+    if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or os.curdir):
+        raise CliError(f"--out {args.out!r} is not a file in an existing directory")
     dataset, config = _training_inputs(args)
 
     if args.mode == MODE_MF:

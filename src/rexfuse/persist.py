@@ -40,13 +40,13 @@ class ModelBundle:
 def save_bundle(bundle: ModelBundle, path) -> None:
     """Write the bundle as version-1 JSON; floats round-trip exactly.
 
-    Ids or counts that ``load_bundle`` would refuse raise its one-line field
-    error, and an error of any kind leaves ``path`` as it was.
+    The document is first decoded as ``load_bundle`` decodes a file, so a
+    bundle whose file it would refuse raises its one-line field error and
+    writes nothing; an error of any kind leaves ``path`` as it was.
     """
-    if bundle.mode not in (MODE_MF, MODE_HYBRID):
-        raise ValueError(f"unknown model mode {bundle.mode!r}")
     hybrid = bundle.mode == MODE_HYBRID
     model = bundle.model
+    # the decoder cannot see this: an "mf" file of a hybrid's fused factors is valid
     if isinstance(model, HybridModel) != hybrid:
         raise ValueError(f"model mode {bundle.mode!r} does not match a {type(model).__name__}")
     factors = model.factors if hybrid else model
@@ -54,13 +54,14 @@ def save_bundle(bundle: ModelBundle, path) -> None:
     if hybrid:
         table = model.embeddings
         embeddings[table.items] = np.fromiter(table.vectors.tolist(), object, len(table))
+    config = {name: _as_written(v) for name, v in dataclasses.asdict(bundle.config).items()}
 
     doc = {
         "version": FORMAT_VERSION,
         "mode": bundle.mode,
         "n_factors": factors.n_factors,
         "embedding_dim": model.embeddings.dim if hybrid else None,
-        "alpha": model.alpha if hybrid else None,
+        "alpha": _as_written(model.alpha) if hybrid else None,
         "fusion": model.fusion if hybrid else None,
         "users": bundle.users.ids,
         "items": bundle.items.ids,
@@ -69,42 +70,27 @@ def save_bundle(bundle: ModelBundle, path) -> None:
         "projection": model.projection.tolist() if hybrid else None,
         "embeddings": embeddings.tolist() if hybrid else None,
         "item_train_counts": np.asarray(bundle.item_train_counts).tolist(),
-        "train_config": dataclasses.asdict(bundle.config),
-        "split_seed": bundle.split_seed,
+        "train_config": config,
+        "split_seed": _as_written(bundle.split_seed),
         "embedding_provider": bundle.embedding_provider,
     }
-    _check_ids(path, "users", doc["users"], factors.n_users)
-    _check_ids(path, "items", doc["items"], factors.n_items)
-    _check_counts(path, doc["item_train_counts"], factors.n_items)
+    _bundle(path, doc)  # the file's own checks, on the values the file will hold
     text = json.dumps(doc, default=json_number) + "\n"  # json.dump skips the C encoder
     # opened only once the text exists, so a failed save leaves an older file whole
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
-def _field_error(path, name, problem):
-    return ValueError(f"{path}: field {name!r} {problem}")
-
-
-def _check_ids(path, name, raw, rows):
-    if not (isinstance(raw, list) and all(isinstance(x, str) for x in raw)
-            and len(set(raw)) == len(raw) == rows):
-        raise _field_error(path, name, f"must list {rows} distinct string ids, one per factor row")
-
-
-def _check_counts(path, counts, n_items):
-    # a negative count would make an item neither warm (> 0) nor cold (== 0)
-    if not (isinstance(counts, list) and len(counts) == n_items
-            and all(type(c) is int and 0 <= c < 2**63 for c in counts)):
-        raise _field_error(
-            path, "item_train_counts", f"must list {n_items} non-negative integers, one per item"
-        )
+def _as_written(value):
+    """A numpy number as the equal Python one, which is what its JSON reads back as."""
+    return json_number(value) if isinstance(value, (np.integer, np.floating)) else value
 
 
 def load_bundle(path) -> ModelBundle:
     """Read a model file, rejecting unknown versions and malformed fields.
 
     Every failure is a one-line ValueError naming the file and the field.
+    ``save_bundle`` runs the same checks on the document it is about to write.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -113,6 +99,11 @@ def load_bundle(path) -> ModelBundle:
         raise ValueError(f"{path}: malformed JSON ({exc.msg})") from None
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: invalid UTF-8 ({exc.reason})") from None
+    return _bundle(path, doc)
+
+
+def _bundle(path, doc) -> ModelBundle:
+    """The bundle of a parsed model document; every rule of the format is checked here."""
     version = doc.get("version") if isinstance(doc, dict) else None
     if type(version) is not int or version != FORMAT_VERSION:  # true and 1.0 equal 1 too
         raise ValueError(
@@ -123,7 +114,7 @@ def load_bundle(path) -> ModelBundle:
         raise ValueError(f"{path}: unknown model mode {mode!r}")
 
     def bad(name, problem):
-        return _field_error(path, name, problem)
+        return ValueError(f"{path}: field {name!r} {problem}")
 
     def need(name):
         if name not in doc:
@@ -145,7 +136,9 @@ def load_bundle(path) -> ModelBundle:
 
     def ids(name, rows):
         raw = need(name)
-        _check_ids(path, name, raw, rows)
+        if not (isinstance(raw, list) and all(isinstance(x, str) for x in raw)
+                and len(set(raw)) == len(raw) == rows):
+            raise bad(name, f"must list {rows} distinct string ids, one per factor row")
         return IdIndex(raw)
 
     def factor_rows(name, k):
@@ -159,7 +152,10 @@ def load_bundle(path) -> ModelBundle:
     n_items = factors.n_items
     users, items = ids("users", factors.n_users), ids("items", n_items)
     counts = need("item_train_counts")
-    _check_counts(path, counts, n_items)
+    # a negative count would make an item neither warm (> 0) nor cold (== 0)
+    if not (isinstance(counts, list) and len(counts) == n_items
+            and all(type(c) is int and 0 <= c < 2**63 for c in counts)):
+        raise bad("item_train_counts", f"must list {n_items} non-negative integers, one per item")
     counts = np.array(counts, dtype=np.int64)
     model = factors
     if mode == MODE_HYBRID:

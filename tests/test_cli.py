@@ -152,6 +152,17 @@ def test_train_unreadable_path_fails_cleanly(tmp_path, capsys):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("out", ["missing/m.json", "."], ids=["missing-directory", "directory"])
+def test_train_refuses_an_unwritable_out_before_training(fusion_files, tmp_path, capsys, out):
+    data, _ = fusion_files
+    out = str(tmp_path / out)
+    code = run(["train", "--data", data, "--format", "csv", "--mode", "mf", "--out", out])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "epoch" not in captured.out
+    assert captured.err == f"error: --out {out!r} is not a file in an existing directory\n"
+
+
 def test_seed_env_var_is_default_and_flag_wins(fusion_files, tmp_path, capsys, monkeypatch):
     data, _ = fusion_files
     monkeypatch.setenv("REXFUSE_SEED", "123")

@@ -219,14 +219,94 @@ def _integer_item_ids(bundle):
     return "items", f"must list {bundle.model.n_items} distinct string ids, one per factor row"
 
 
-@pytest.mark.parametrize("make", [mf_bundle, hybrid_bundle])
+def _factors(bundle):
+    return bundle.model.factors if bundle.mode == "hybrid" else bundle.model
+
+
+def _refit(bundle, P=None, Q=None, projection=None, vectors=None):
+    """``bundle`` with the given arrays in place of its model's; None keeps an array."""
+    factors = _factors(bundle)
+    factors = FactorModel(factors.user_factors if P is None else P,
+                          factors.item_factors if Q is None else Q)
+    if bundle.mode == "mf":
+        bundle.model = factors
+        return
+    model, table = bundle.model, bundle.model.embeddings
+    table = ItemEmbeddingTable(table.items, table.vectors if vectors is None else vectors)
+    bundle.model = HybridModel(factors, model.projection if projection is None else projection,
+                               table, model.alpha, model.fusion)
+
+
+def _negative_split_seed(bundle):
+    bundle.split_seed = -1
+    return "split_seed", "must be an integer >= 0, got -1"
+
+
+def _true_split_seed(bundle):
+    bundle.split_seed = True
+    return "split_seed", "must be an integer >= 0, got True"
+
+
+def _float_split_seed(bundle):
+    bundle.split_seed = 9.0
+    return "split_seed", "must be an integer >= 0, got 9.0"
+
+
+def _config_wider_than_factors(bundle):
+    bundle.config = dataclasses.replace(bundle.config, n_factors=7)
+    return "train_config", "has n_factors 7, but the factors are 4 wide"
+
+
+def _nan_user_factor(bundle):
+    P = _factors(bundle).user_factors.copy()
+    P[2, 1] = np.nan
+    _refit(bundle, P=P)
+    return "user_factors", "contains non-finite values"
+
+
+def _infinite_item_factor(bundle):
+    Q = _factors(bundle).item_factors.copy()
+    Q[-1, 3] = np.inf
+    _refit(bundle, Q=Q)
+    return "item_factors", "contains non-finite values"
+
+
+def _no_user_rows(bundle):
+    _refit(bundle, P=_factors(bundle).user_factors[:0])
+    bundle.users = IdIndex([])
+    return "user_factors", "must hold at least one row"
+
+
+def _nan_projection_entry(bundle):
+    W = bundle.model.projection.copy()
+    W[1, 2] = np.nan
+    _refit(bundle, projection=W)
+    return "projection", "contains non-finite values"
+
+
+def _infinite_embedding(bundle):
+    vectors = bundle.model.embeddings.vectors.copy()
+    vectors[0, 4] = -np.inf
+    _refit(bundle, vectors=vectors)
+    return "embeddings", "contains non-finite values"
+
+
+SAVE_CORRUPTIONS = [
+    _short_counts, _negative_count_at_save, _fractional_counts,
+    _missing_user_id, _extra_item_id, _integer_item_ids,
+    _negative_split_seed, _true_split_seed, _float_split_seed, _config_wider_than_factors,
+    _nan_user_factor, _infinite_item_factor, _no_user_rows,
+]
+HYBRID_SAVE_CORRUPTIONS = [_nan_projection_entry, _infinite_embedding]
+
+
 @pytest.mark.parametrize(
-    "corrupt",
-    [_short_counts, _negative_count_at_save, _fractional_counts,
-     _missing_user_id, _extra_item_id, _integer_item_ids],
+    "corrupt, make",
+    [(corrupt, make) for corrupt in SAVE_CORRUPTIONS for make in (mf_bundle, hybrid_bundle)]
+    + [(corrupt, hybrid_bundle) for corrupt in HYBRID_SAVE_CORRUPTIONS],
 )
 def test_save_refuses_what_load_would_refuse(tmp_path, make, corrupt):
-    """Ids that do not fit the factor rows, or counts that do not fit the items, write no file."""
+    """A bundle whose file ``load_bundle`` would refuse writes no file, and says why as load does."""
     _, bundle = make()
     name, problem = corrupt(bundle)
     path = tmp_path / "model.json"
@@ -474,6 +554,68 @@ def test_save_load_round_trip_is_bitwise(round_trip_dir, bundle):
         assert (loaded.model.alpha, loaded.model.fusion) == (bundle.model.alpha, bundle.model.fusion)
     save_bundle(loaded, second)
     assert second.read_bytes() == first.read_bytes()
+
+
+def _arrays(bundle):
+    """The float arrays of ``bundle``'s model, by their ``_refit`` names."""
+    arrays = {"P": _factors(bundle).user_factors, "Q": _factors(bundle).item_factors}
+    if bundle.mode == "hybrid":
+        arrays.update(projection=bundle.model.projection, vectors=bundle.model.embeddings.vectors)
+    return arrays
+
+
+ARRAY_FIELDS = {"P": "user_factors", "Q": "item_factors", "projection": "projection",
+                "vectors": "embeddings"}
+
+
+@st.composite
+def refusals(draw):
+    """``(bundle, where, value)``: a bundle and one value that ``load_bundle`` refuses, for
+    the split seed, the config width, or an entry ``(array, row, column)`` of P, Q, the
+    projection or an embedding vector."""
+    bundle = draw(bundles())
+    arrays = [name for name, array in _arrays(bundle).items() if array.size]
+    where = draw(st.sampled_from(["split_seed", "n_factors", *arrays]))
+    if where == "split_seed":
+        value = draw(st.one_of(st.integers(max_value=-1), st.booleans(), st.floats(), st.none()))
+    elif where == "n_factors":
+        value = draw(st.integers(1, 64).filter(lambda width: width != bundle.config.n_factors))
+    else:
+        rows, columns = _arrays(bundle)[where].shape
+        where = where, draw(st.integers(0, rows - 1)), draw(st.integers(0, columns - 1))
+        value = draw(st.sampled_from(NON_FINITE))
+    return bundle, where, value
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=refusals())
+def test_save_refuses_each_value_load_refuses_with_the_same_message(round_trip_dir, case):
+    """The value in the bundle raises what the same value in its saved file raises at load."""
+    bundle, where, value = case
+    path = round_trip_dir / "refused.json"
+    save_bundle(bundle, path)
+    doc = json.loads(path.read_text())
+    if where == "split_seed":
+        doc["split_seed"] = bundle.split_seed = value
+    elif where == "n_factors":
+        doc["train_config"]["n_factors"] = value
+        bundle.config = dataclasses.replace(bundle.config, n_factors=value)
+    else:
+        name, r, c = where
+        row = int(bundle.model.embeddings.items[r]) if name == "vectors" else r
+        doc[ARRAY_FIELDS[name]][row][c] = value
+        array = _arrays(bundle)[name].copy()
+        array[r, c] = value
+        with np.errstate(invalid="ignore"):  # a hybrid fuses the entry into its item factors
+            _refit(bundle, **{name: array})
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as loaded:
+        load_bundle(path)
+    path.unlink()
+    with pytest.raises(ValueError) as saved:
+        save_bundle(bundle, path)
+    assert str(saved.value) == str(loaded.value)
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------- load fuzz
