@@ -85,6 +85,16 @@ def _eval_config(args):
     return EvalConfig(top_k=args.k_at, relevance_threshold=args.threshold)
 
 
+def _check_out_path(flag, path):
+    """Refuse, before any work, an output ``path`` that names no file in an existing directory."""
+    if path is None:
+        return
+    if os.path.isdir(path) or not (
+        os.path.basename(path) and os.path.isdir(os.path.dirname(path) or os.curdir)
+    ):
+        raise CliError(f"{flag} {path!r} is not a file in an existing directory")
+
+
 def _print_reports(args, reports, json_value):
     """The table of ``reports``; with --json, ``json_value`` as one line of canonical JSON."""
     print(render_table(reports))
@@ -94,9 +104,7 @@ def _print_reports(args, reports, json_value):
 
 
 def cmd_train(args) -> int:
-    # refused before any training; the file itself is opened only once its text exists
-    if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or os.curdir):
-        raise CliError(f"--out {args.out!r} is not a file in an existing directory")
+    _check_out_path("--out", args.out)
     dataset, config = _training_inputs(args)
 
     if args.mode == MODE_MF:
@@ -125,6 +133,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_out_path("--json", args.json)
     bundle = load_bundle(args.model)
     dataset = _load_dataset(args.data, args.format, bundle.split_seed)
     for kind, model_idx, data_idx in (
@@ -159,6 +168,7 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_out_path("--json", args.json)
     try:
         alphas = [float(part) for part in args.alphas.split(",") if part.strip()]
     except ValueError:

@@ -79,11 +79,11 @@ def predict_cold_start(model: HybridModel, u: int, i: int) -> float:
 
 
 def resolve_embeddings(source, dim=None) -> ItemEmbeddingTable:
-    """Accept either a ready embedding table or a text corpus to hash."""
+    """Accept a ready embedding table, or a text corpus to hash ``dim`` wide (None: the default)."""
     if isinstance(source, ItemEmbeddingTable):
         return source
     if isinstance(source, ItemTextCorpus):
-        return embed_corpus(source, dim or DEFAULT_EMBED_DIM)
+        return embed_corpus(source, DEFAULT_EMBED_DIM if dim is None else dim)
     raise TypeError(f"expected ItemEmbeddingTable or ItemTextCorpus, got {type(source)!r}")
 
 

@@ -112,27 +112,30 @@ def _pair_blocks(n: int):
     return [slice(lo, lo + _PAIR_BLOCK) for lo in range(0, n, _PAIR_BLOCK)]
 
 
+def _row_dot(a, b, out=None) -> np.ndarray:
+    """Row dot of every score and of the plain SGD step's errors: its bits follow no BLAS kernel."""
+    return np.einsum("...j,...j->...", a, b, out=out)
+
+
 def score_pairs(model: FactorModel, users, items) -> np.ndarray:
-    """Score of each (user, item) pair: the dot product P_u.Q_i.
+    """Score of each (user, item) pair: the dot product P_u.Q_i (``_row_dot``).
 
     This is the only scorer: pair lists, catalogue rows, fused scores (through
     ``fused_factors``) and cold-start scores all come from it.  ``users`` may
-    be one index, which broadcasts against ``items``.  Each score is a
-    row-wise ``einsum`` dot product, so a pair gets the same bits whatever
-    else is scored with it, where a BLAS matrix-vector product would round by
-    batch and position.  Two 1-D index arrays of equal length longer than
-    ``_PAIR_BLOCK`` are scored block by block into one output, with those
-    same bits; any other input (broadcasting, a length mismatch) is one call.
+    be one index, which broadcasts against ``items``.  Two 1-D index arrays
+    of equal length longer than ``_PAIR_BLOCK`` are scored block by block
+    into one output, with the same bits; any other input (broadcasting, a
+    length mismatch) is one call.
     """
     P, Q = model.user_factors, model.item_factors
     if not (
         isinstance(users, np.ndarray) and isinstance(items, np.ndarray)
         and users.ndim == items.ndim == 1 and len(users) == len(items) > _PAIR_BLOCK
     ):
-        return np.einsum("...j,...j->...", P[users], Q[items])
+        return _row_dot(P[users], Q[items])
     out = np.empty(len(users), np.result_type(P, Q))
     for block in _pair_blocks(len(users)):
-        np.einsum("...j,...j->...", P[users[block]], Q[items[block]], out=out[block])
+        _row_dot(P[users[block]], Q[items[block]], out=out[block])
     return out
 
 
@@ -334,8 +337,9 @@ def sgd_epochs(model: FactorModel, train: RatingTriples, config: TrainConfig, lo
 
     When sem_w is 0 (no head, or alpha=0) this is the plain factor step and W
     only decays, once per epoch in closed form.  The plain step runs one
-    ``conflict_free_levels`` level at a time, vectorized over its rows; the
-    result is bitwise that of the per-interaction order.
+    ``conflict_free_levels`` level at a time, vectorized over its rows, with
+    its errors from ``_row_dot``; the result is bitwise that of the
+    per-interaction order with that dot.
 
     The fused step, which shares W across all interactions, runs one
     ``conflict_free_runs`` run at a time.  Within a run of n visits every P_u
@@ -380,9 +384,7 @@ def sgd_epochs(model: FactorModel, train: RatingTriples, config: TrainConfig, lo
                 for lo, hi in zip(bounds, bounds[1:]):
                     u, i = us[lo:hi], its[lo:hi]
                     pu, qi = P[u], Q[i]
-                    # vecdot calls the same BLAS ddot per row as a 1-D ``pu @ qi``;
-                    # einsum and (pu * qi).sum(1) round differently
-                    err = (np.vecdot(pu, qi) - ys[lo:hi])[:, None]
+                    err = (_row_dot(pu, qi) - ys[lo:hi])[:, None]
                     # in place, in the order of pu - lr * (err * qi + lam * pu): the same bits
                     step_p, step_q = err * qi, err * pu
                     step_p += lam * pu

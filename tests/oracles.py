@@ -156,7 +156,9 @@ def sgd_sequential_reference(
                 u, i, y = users[idx], items[idx], ratings[idx]
                 pu, qi = P[u], Q[i]
                 if head is None:
-                    err = pu @ qi - y
+                    # a row-wise einsum, as every package score; a 1-D ``pu @ qi`` is BLAS
+                    # ddot, whose bits follow the CPU's kernel
+                    err = np.einsum("...j,...j->...", pu, qi) - y
                     new_pu = pu - lr * (err * qi + lam * pu)
                     new_qi = qi - lr * (err * pu + lam * qi)
                 else:

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rexfuse
 from rexfuse.cli import _resolve_seed, build_parser, main
 from rexfuse.dataset import build_dataset, load_interactions
 from rexfuse.evaluate import EvalConfig
@@ -152,15 +156,39 @@ def test_train_unreadable_path_fails_cleanly(tmp_path, capsys):
     assert len(captured.err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("out", ["missing/m.json", "."], ids=["missing-directory", "directory"])
+UNWRITABLE = {"missing-directory": "missing/m.json", "directory": ".", "empty": ""}
+
+
+@pytest.mark.parametrize("out", UNWRITABLE.values(), ids=UNWRITABLE)
 def test_train_refuses_an_unwritable_out_before_training(fusion_files, tmp_path, capsys, out):
     data, _ = fusion_files
-    out = str(tmp_path / out)
+    out = out and str(tmp_path / out)
     code = run(["train", "--data", data, "--format", "csv", "--mode", "mf", "--out", out])
     captured = capsys.readouterr()
     assert code == 1
     assert "epoch" not in captured.out
     assert captured.err == f"error: --out {out!r} is not a file in an existing directory\n"
+
+
+def _refuse_to_run(*args, **kwargs):
+    raise AssertionError("ran before the output path was checked")
+
+
+@pytest.mark.parametrize("out", UNWRITABLE.values(), ids=UNWRITABLE)
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_unwritable_json_is_refused_before_any_work(trained_mf, fusion_files, tmp_path, capsys,
+                                                    monkeypatch, command, out):
+    data, model = trained_mf
+    _, texts = fusion_files
+    for name in ("load_bundle", "load_interactions", "evaluate_model", "sweep_alpha"):
+        monkeypatch.setattr(f"rexfuse.cli.{name}", _refuse_to_run)
+    out = out and str(tmp_path / out)
+    extra = {"evaluate": ["--model", model], "sweep": ["--item-text", texts, "--alphas", "0,0.5"]}
+    code = run([command, "--data", data, "--format", "csv", *extra[command], "--json", out])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: --json {out!r} is not a file in an existing directory\n"
 
 
 def test_seed_env_var_is_default_and_flag_wins(fusion_files, tmp_path, capsys, monkeypatch):
@@ -496,3 +524,42 @@ def test_bad_training_flag_reported_before_the_text_source(fusion_files, tmp_pat
     code = run([command, "--data", data, "--format", "csv", "--lr", "0", *extra])
     assert code == 1
     assert capsys.readouterr().err == "error: learning_rate must be finite and positive, got 0.0\n"
+
+
+# ---------------------------------------------------------------- console entry
+
+ENTRY_CHILD = r"""
+import json, os, sys
+import rexfuse_entry
+
+numpy_first = "numpy" in sys.modules
+sys.argv = ["rexfuse", "evaluate", "--help"]
+try:
+    rexfuse_entry.main()
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"numpy_first": numpy_first, "code": code,
+                  **{name: os.environ.get(name) for name in rexfuse_entry.THREAD_VARS}}))
+"""
+
+
+@pytest.mark.parametrize(
+    "preset, pinned",
+    [
+        ({}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}),
+        ({"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": None}),
+        ({"OMP_NUM_THREADS": "3"}, {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "3"}),
+    ],
+    ids=["neither-set", "openblas-set", "omp-set"],
+)
+def test_console_entry_pins_blas_threads_unless_the_user_chose(preset, pinned):
+    """The entry sets one BLAS thread before numpy loads, and only if neither variable is set."""
+    env = {k: v for k, v in os.environ.items() if k not in pinned}
+    src = str(Path(rexfuse.__file__).resolve().parents[1])
+    env.update(preset, PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", ENTRY_CHILD], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert child.returncode == 0, child.stderr
+    seen = json.loads(child.stdout.splitlines()[-1])
+    assert seen == {"numpy_first": False, "code": 0, **pinned}

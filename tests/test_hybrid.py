@@ -280,6 +280,15 @@ def test_rank1_with_informative_text_fits_and_matches_oracle():
     assert losses[-1] == pytest.approx(oracle_loss, rel=0.1)
 
 
+@pytest.mark.parametrize("dim", [0, -3])
+def test_train_hybrid_refuses_an_embed_dim_below_one(dim):
+    """Only ``None`` takes the default width: 0 is refused like any other dim below 1."""
+    ds = dense_dataset([(0, 0, 4.0), (1, 1, 2.0)], 2, 2)
+    corpus = ItemTextCorpus(texts={0: "red", 1: "blue"})
+    with pytest.raises(ValueError, match=rf"^embedding dim must be >= 1, got {dim}$"):
+        train_hybrid(ds, corpus, TrainConfig(n_factors=2, epochs=1), alpha=0.5, embed_dim=dim)
+
+
 def test_train_hybrid_deterministic():
     ds, table = hybrid_toy_dataset()
     cfg = TrainConfig(n_factors=3, epochs=6, seed=2)

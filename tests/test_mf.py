@@ -17,6 +17,7 @@ from rexfuse.mf import (
     loss_mse,
     loss_regularized,
     predict_mf,
+    score_pairs,
     train_mf,
 )
 
@@ -272,6 +273,27 @@ def test_train_matches_sequential_reference_bitwise_at_ml100k_scale(tmp_path):
     ds = build_dataset(load_interactions(str(path), "movielens100k"), split_seed=42)
     cfg = TrainConfig(n_factors=32, learning_rate=0.02, epochs=2, seed=11)
     assert_train_matches_sequential_reference(ds, cfg)
+
+
+def test_one_level_epoch_steps_from_score_pairs_errors():
+    """No user or item repeats, so the epoch is one level: its errors are score_pairs' bits."""
+    n = 300
+    rng = np.random.default_rng(5)
+    rows = [(u, int(i), float(rng.integers(1, 6))) for u, i in enumerate(rng.permutation(n))]
+    ds = dense_dataset(rows, n, n)
+    cfg = TrainConfig(n_factors=32, learning_rate=0.02, epochs=1, seed=9)
+    start, t = init_factors(n, n, cfg), ds.train
+    assert conflict_free_levels(t.users, t.items, n, n).max() == 1
+    err = (score_pairs(start, t.users, t.items) - t.ratings)[:, None]
+    pu, qi = start.user_factors[t.users], start.item_factors[t.items]
+    lr, lam = cfg.learning_rate, cfg.reg
+    P, Q = start.user_factors.copy(), start.item_factors.copy()
+    P[t.users] = pu - lr * (err * qi + lam * pu)
+    Q[t.items] = qi - lr * (err * pu + lam * qi)
+
+    model, _ = train_mf(ds, cfg)
+    assert np.array_equal(model.user_factors, P)
+    assert np.array_equal(model.item_factors, Q)
 
 
 @settings(max_examples=200, deadline=None)
