@@ -280,7 +280,3 @@ def main(argv=None) -> int:
     except (CliError, ValueError, OSError, RuntimeError, KeyError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -5,7 +5,7 @@ thread, and prints digests of what it trained.  OpenBLAS built with
 ``DYNAMIC_ARCH`` (numpy's wheels on x86-64) reads the variable at start-up
 and picks that CPU family's kernels, whose ``ddot`` and GEMM round in their
 own summation order.  Every dot product of MF and alpha=0 training is the
-row-wise ``einsum`` of ``mf.row_dot``, which no BLAS kernel computes.
+row-wise ``einsum`` of ``mf._row_dot``, which no BLAS kernel computes.
 """
 
 import json
