@@ -424,9 +424,14 @@ def load_interactions(path, format: str = "movielens100k") -> Interactions:
     return interactions
 
 
+def is_int(value) -> bool:
+    """Whether ``value`` is an int (numpy's too); a boolean or a float is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def require_int(name: str, value, low: int):
     """``value`` if it is an integer >= ``low`` (0 or 1); else a one-line ValueError naming it."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+    if not is_int(value) or value < low:
         kind = "positive" if low == 1 else "non-negative"
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
     return value

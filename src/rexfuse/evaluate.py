@@ -7,9 +7,16 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import InteractionDataset, RatingTriples, finite_number, json_number, require_int
+from .dataset import (
+    InteractionDataset,
+    RatingTriples,
+    finite_number,
+    is_int,
+    json_number,
+    require_int,
+)
 from .hybrid import HybridModel, resolve_embeddings, train_hybrid
-from .mf import TrainConfig, _check_index, score_pairs
+from .mf import FUSION_ADDITIVE, TrainConfig, _check_index, fusion_weights, score_pairs
 
 # users ranked per pass of evaluate_model: a 64 x n_items block of scores
 _BLOCK = 64
@@ -70,7 +77,7 @@ def _ranked(scores: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
     worse than it (ties included, and all of them at a NaN or infinite
     threshold) goes to ``_rank_pairs``.  A pool under k gives a shorter list.
     """
-    if k < 1:
+    if not is_int(k) or k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     neg = -scores[candidates]
     width = min(k, len(neg))
@@ -230,10 +237,13 @@ def sweep_alpha(
     """Train one hybrid model per fusion weight (same seed) and evaluate each.
 
     A text corpus is embedded once and the table shared by every alpha.
+    Every alpha is checked before anything is embedded or trained.
     """
     alphas = list(alphas)
     if not alphas:
         raise ValueError("alphas must be non-empty")
+    for alpha in alphas:
+        fusion_weights(alpha, FUSION_ADDITIVE)
     table = resolve_embeddings(embeddings_source)
     reports = []
     for alpha in alphas:

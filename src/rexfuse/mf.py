@@ -113,7 +113,8 @@ def _pair_blocks(n: int):
 
 
 def _row_dot(a, b, out=None) -> np.ndarray:
-    """Row dot of every score and of the plain SGD step's errors: its bits follow no BLAS kernel."""
+    """Row dot of every score, the plain SGD step's errors, V, the projection's gradient and the
+    embedding norms: its bits follow no BLAS kernel."""
     return np.einsum("...j,...j->...", a, b, out=out)
 
 
@@ -181,12 +182,12 @@ def loss_mse(pairs) -> float:
 
 
 def _projected_catalogue(embeddings, projection):
-    """V = E @ W.T for the fused score, or None without a projection."""
+    """V = E @ W.T for the fused score (``_row_dot``), or None without a projection."""
     if projection is None:
         return None
     if embeddings is None:
         raise ValueError("a projection was given without item embeddings")
-    return embeddings @ projection.T
+    return _row_dot(embeddings[:, None, :], projection)
 
 
 def loss_regularized(
@@ -263,7 +264,8 @@ def loss_gradients(
     grad_Q += scale * cf_w * item_pull
     if projection is None:
         return grad_P, grad_Q, None
-    return grad_P, grad_Q, 2.0 * reg * projection + scale * sem_w * (item_pull.T @ embeddings)
+    pull_E = _row_dot(item_pull.T[:, None, :], embeddings.T)  # sum_i outer(item_pull_i, E_i)
+    return grad_P, grad_Q, 2.0 * reg * projection + scale * sem_w * pull_E
 
 
 def epoch_shuffle(seed: int, epoch: int, n: int) -> np.ndarray:

@@ -5,8 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import IdIndex, ItemTextCorpus, json_float_array, read_item_records
-from .mf import _check_index
+from .dataset import IdIndex, ItemTextCorpus, is_int, json_float_array, read_item_records
+from .mf import _check_index, _row_dot
 
 _FNV64_OFFSET = 0xCBF29CE484222325
 _FNV64_PRIME = 0x100000001B3
@@ -84,7 +84,7 @@ def embed_corpus(corpus: ItemTextCorpus, dim: int) -> ItemEmbeddingTable:
     for a single text.  Every distinct token is hashed once per call, and
     each bucket's sum of signs is a small integer, exact in any order.
     """
-    if dim < 1:
+    if not is_int(dim) or dim < 1:
         raise ValueError(f"embedding dim must be >= 1, got {dim}")
     codes = {}  # token -> its index into buckets and signs
     buckets, signs, token_codes, ends = [], [], [], []
@@ -106,7 +106,7 @@ def embed_corpus(corpus: ItemTextCorpus, dim: int) -> ItemEmbeddingTable:
     # float64 even when no text has a token: bincount then returns integers
     matrix = counts.astype(np.float64, copy=False).reshape(n, dim)
     # the squared norm of integer counts is exact in any summation order
-    norms = np.sqrt(np.vecdot(matrix, matrix))
+    norms = np.sqrt(_row_dot(matrix, matrix))
     matrix /= np.where(norms > 0.0, norms, 1.0)[:, None]
     return ItemEmbeddingTable(np.fromiter(corpus.texts, np.intp, n), matrix)
 

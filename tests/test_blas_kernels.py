@@ -1,11 +1,13 @@
-"""MF and alpha=0 training give the same bits under every OpenBLAS kernel.
+"""MF and alpha=0 models give the same bits under every OpenBLAS kernel.
 
 Each child process trains under one ``OPENBLAS_CORETYPE``, with one BLAS
-thread, and prints digests of what it trained.  OpenBLAS built with
+thread, and prints digests of what it trained and of what the models return:
+scores, cold-start scores, ``recommend`` rows, an evaluation report and the
+loss gradients with the projection at alpha=0.5.  OpenBLAS built with
 ``DYNAMIC_ARCH`` (numpy's wheels on x86-64) reads the variable at start-up
 and picks that CPU family's kernels, whose ``ddot`` and GEMM round in their
-own summation order.  Every dot product of MF and alpha=0 training is the
-row-wise ``einsum`` of ``mf._row_dot``, which no BLAS kernel computes.
+own summation order.  Every dot product behind these values is the row-wise
+``einsum`` of ``mf._row_dot``, which no BLAS kernel computes.
 """
 
 import json
@@ -27,8 +29,9 @@ import hashlib, json, os, sys
 import numpy as np
 
 from rexfuse.dataset import build_dataset, load_interactions, load_item_text
+from rexfuse.evaluate import EvalConfig, evaluate_model, recommend_for_user
 from rexfuse.hybrid import train_hybrid
-from rexfuse.mf import TrainConfig, train_mf
+from rexfuse.mf import TrainConfig, loss_gradients, train_mf
 from rexfuse.persist import MODE_HYBRID, MODE_MF, ModelBundle, save_bundle
 from rexfuse.semantic import embed_corpus
 
@@ -65,9 +68,24 @@ for name in ("mf", "alpha0"):
     )
     with open(out, "rb") as fh:
         model_file = hashlib.sha256(fh.read()).hexdigest()
+    counts = dataset.item_train_counts()
+    rows = [
+        row[:2] for u in range(5)
+        for row in recommend_for_user(model, u, model.n_items, counts, include_cold=True)
+    ]
     result[name] = {
         "arrays": [digest(x) for x in arrays], "losses": digest(losses), "model_file": model_file,
+        "recommend": digest(rows),
+        "report": evaluate_model(model, dataset, EvalConfig(top_k=10)).to_json(),
     }
+# the alpha=0 model's semantic term, and the gradients of its factors with W at alpha=0.5
+users = np.arange(model.n_users)
+result["alpha0"]["semantic"] = digest(model.semantic.score_items(users[:, None], slice(None)))
+grads = loss_gradients(
+    model.factors, dataset.train, config.reg, projection=model.projection,
+    embeddings=table.dense(model.n_items), alpha=0.5,
+)
+result["alpha0"]["gradients"] = [digest(g) for g in grads]
 print(json.dumps(result))
 """
 

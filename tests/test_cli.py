@@ -514,6 +514,22 @@ def test_sweep_bad_alphas_fail_cleanly(fusion_files, capsys):
     assert "--alphas" in captured.err
 
 
+@pytest.mark.parametrize("alphas, bad", [("0,0.5,nan", "nan"), ("0.5,-1", "-1.0")])
+def test_sweep_refuses_a_bad_alpha_before_it_trains(fusion_files, monkeypatch, capsys,
+                                                   alphas, bad):
+    def never(*args, **kwargs):
+        raise AssertionError("trained before every alpha was checked")
+
+    monkeypatch.setattr("rexfuse.evaluate.train_hybrid", never)
+    data, text = fusion_files
+    code = run(["sweep", "--data", data, "--format", "csv", "--item-text", text,
+                "--alphas", alphas, "--epochs", "1", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: alpha must be finite and >= 0, got {bad}\n"
+
+
 @pytest.mark.parametrize("command", ["train", "sweep"])
 def test_bad_training_flag_reported_before_the_text_source(fusion_files, tmp_path, capsys,
                                                            command):

@@ -76,6 +76,15 @@ def test_topk_rejects_bad_k():
         topk(single_user_model([1.0]), 0, 0)
 
 
+@pytest.mark.parametrize("k", [True, 2.5, np.float64(2.0)])
+def test_topk_and_recommend_refuse_a_k_that_is_not_an_integer(k):
+    model = single_user_model([3.0, 2.0, 1.0])
+    with pytest.raises(ValueError, match=rf"^k must be >= 1, got {k}$"):
+        topk(model, 0, k)
+    with pytest.raises(ValueError, match=rf"^k must be >= 1, got {k}$"):
+        recommend_for_user(model, 0, k, np.ones(3, dtype=int))
+
+
 def test_topk_matches_full_sort_oracle():
     rng = np.random.default_rng(6)
     scores = rng.normal(size=50)
@@ -540,6 +549,20 @@ def test_sweep_alpha_empty_grid_rejected():
     ds, table = sweep_fixture()
     with pytest.raises(ValueError):
         sweep_alpha(ds, table, TrainConfig(epochs=1), [])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
+def test_sweep_alpha_refuses_a_bad_alpha_before_embedding_or_training(monkeypatch, bad):
+    ds, _ = sweep_fixture()
+    corpus = ItemTextCorpus(texts={0: "some text"})
+
+    def never(*args, **kwargs):
+        raise AssertionError("called before every alpha was checked")
+
+    monkeypatch.setattr("rexfuse.hybrid.embed_corpus", never)
+    monkeypatch.setattr(evaluate, "train_hybrid", never)
+    with pytest.raises(ValueError, match=rf"^alpha must be finite and >= 0, got {bad}$"):
+        sweep_alpha(ds, corpus, TrainConfig(epochs=1), [0.0, 0.5, bad])
 
 
 # ---------------------------------------------------------------- recommend

@@ -34,6 +34,11 @@ def one_shot(model, users, items):
     return np.einsum("...j,...j->...", model.user_factors[users], model.item_factors[items])
 
 
+def row_dot(a, b):
+    """The row-wise einsum of ``mf._row_dot``, which also builds V and the projection's pull."""
+    return np.einsum("...j,...j->...", a, b)
+
+
 def scoring_models(seed=0, n_users=40, n_items=70, k=9, dim=6):
     """An MF model and a hybrid model's ``fused`` and ``semantic`` factor models."""
     rng = np.random.default_rng(seed)
@@ -84,7 +89,7 @@ def test_a_length_mismatch_still_raises(n_users, n_items):
 def unblocked_loss(model, data, reg, projection=None, embeddings=None, alpha=0.0,
                    fusion="additive"):
     """``loss_regularized`` with every pair scored by one einsum."""
-    V = None if projection is None else embeddings @ projection.T
+    V = None if projection is None else row_dot(embeddings[:, None, :], projection)
     fused = fused_factors(model, V, alpha, fusion)
     err = one_shot(fused, data.users, data.items) - data.ratings
     mse = float(np.mean(err * err))
@@ -101,7 +106,7 @@ def unblocked_gradients(model, data, reg, projection=None, embeddings=None, alph
     """``loss_gradients`` with one einsum and one ``np.add.at`` per target over all pairs."""
     P, Q = model.user_factors, model.item_factors
     us, its = data.users, data.items
-    V = None if projection is None else embeddings @ projection.T
+    V = None if projection is None else row_dot(embeddings[:, None, :], projection)
     fused = fused_factors(model, V, alpha, fusion)
     err = one_shot(fused, us, its) - data.ratings
     cf_w, sem_w = (1.0, 0.0) if projection is None else fusion_weights(alpha, fusion)
@@ -114,7 +119,9 @@ def unblocked_gradients(model, data, reg, projection=None, embeddings=None, alph
     grad_Q += scale * cf_w * item_pull
     if projection is None:
         return grad_P, grad_Q, None
-    return grad_P, grad_Q, 2.0 * reg * projection + scale * sem_w * (item_pull.T @ embeddings)
+    return grad_P, grad_Q, 2.0 * reg * projection + scale * sem_w * row_dot(
+        item_pull.T[:, None, :], embeddings.T
+    )
 
 
 def head_kwargs(head, rng, k, n_items, dim=6):

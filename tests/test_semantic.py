@@ -106,6 +106,12 @@ def test_embed_corpus_empty_and_bad_dim():
         embed_corpus(ItemTextCorpus(texts={0: "x"}), 0)
 
 
+@pytest.mark.parametrize("dim", [True, 2.0, np.float64(8.0)])
+def test_embed_corpus_refuses_a_dim_that_is_not_an_integer(dim):
+    with pytest.raises(ValueError, match=rf"^embedding dim must be >= 1, got {dim}$"):
+        embed_corpus(ItemTextCorpus(texts={0: "red blue"}), dim)
+
+
 # ---------------------------------------------------------------- file provider
 
 def write_jsonl(tmp_path, lines):
