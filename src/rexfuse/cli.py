@@ -8,7 +8,7 @@ import sys
 from .dataset import build_dataset, load_interactions, load_item_text, require_int
 from .evaluate import EvalConfig, evaluate_model, recommend_for_user, render_table, sweep_alpha
 from .hybrid import DEFAULT_EMBED_DIM, train_hybrid
-from .mf import TrainConfig, train_mf
+from .mf import FUSION_ADDITIVE, TrainConfig, fusion_weights, train_mf
 from .persist import MODE_HYBRID, MODE_MF, ModelBundle, load_bundle, save_bundle
 from .semantic import embed_corpus, load_embeddings_file
 
@@ -37,19 +37,17 @@ def _resolve_seed(flag_value):
         raise CliError(f"{name} must be a non-negative integer, got {raw!r}") from None
 
 
-def _embedding_source(args, items, requirement):
+def _embedding_source(args, items):
     """Resolve --item-text / --embeddings into a table plus provider descriptor."""
     if args.item_text:
         source = load_item_text(args.item_text, items)
         table = embed_corpus(source, DEFAULT_EMBED_DIM)
         provider = {"kind": "hashed_bow", "dim": table.dim}
         unknown = "item-text records with unknown ids"
-    elif args.embeddings:
+    else:
         source = table = load_embeddings_file(args.embeddings, items)
         provider = {"kind": "file", "path": str(args.embeddings), "dim": table.dim}
         unknown = "embeddings with unknown item ids"
-    else:
-        raise CliError(f"{requirement} requires --item-text or --embeddings")
     if source.skipped:
         print(f"warning: skipped {source.skipped} {unknown}", file=sys.stderr)
     return table, provider
@@ -73,12 +71,20 @@ def _load_dataset(path, fmt, seed):
     return build_dataset(load_interactions(path, fmt), seed)
 
 
-def _training_inputs(args):
-    """The dataset and ``TrainConfig`` of train and sweep: one seed splits and trains."""
+def _training_inputs(args, text_for=None, alphas=()):
+    """The dataset and ``TrainConfig`` of train and sweep: one seed splits and trains.
+
+    Every flag is checked before the ratings are read: the training flags, then, for the
+    hybrid model that ``text_for`` names, its text source and its fusion weights ``alphas``.
+    """
     seed = _resolve_seed(args.seed)
-    dataset = _load_dataset(args.data, args.format, seed)
     fields = {field: getattr(args, flag) for flag, (_, field, _) in TRAINING_FLAGS.items()}
-    return dataset, TrainConfig(**fields, seed=seed)
+    config = TrainConfig(**fields, seed=seed)
+    if text_for and not (args.item_text or args.embeddings):
+        raise CliError(f"{text_for} requires --item-text or --embeddings")
+    for alpha in alphas:
+        fusion_weights(alpha, FUSION_ADDITIVE)
+    return _load_dataset(args.data, args.format, seed), config
 
 
 def _eval_config(args):
@@ -105,13 +111,13 @@ def _print_reports(args, reports, json_value):
 
 def cmd_train(args) -> int:
     _check_out_path("--out", args.out)
-    dataset, config = _training_inputs(args)
-
     if args.mode == MODE_MF:
+        dataset, config = _training_inputs(args)
         model, losses = train_mf(dataset, config)
         provider = None
     else:
-        table, provider = _embedding_source(args, dataset.items, "--mode hybrid")
+        dataset, config = _training_inputs(args, "--mode hybrid", [args.alpha])
+        table, provider = _embedding_source(args, dataset.items)
         model, losses = train_hybrid(dataset, table, config, alpha=args.alpha)
 
     for epoch, loss in enumerate(losses, start=1):
@@ -134,6 +140,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     _check_out_path("--json", args.json)
+    eval_config = _eval_config(args)
     bundle = load_bundle(args.model)
     dataset = _load_dataset(args.data, args.format, bundle.split_seed)
     for kind, model_idx, data_idx in (
@@ -145,7 +152,7 @@ def cmd_evaluate(args) -> int:
             raise CliError(f"model/data mismatch: {problem}")
 
     alpha = bundle.model.alpha if bundle.mode == MODE_HYBRID else None
-    report = evaluate_model(bundle.model, dataset, _eval_config(args), alpha=alpha)
+    report = evaluate_model(bundle.model, dataset, eval_config, alpha=alpha)
     _print_reports(args, [report], report.to_dict())
     return 0
 
@@ -169,6 +176,7 @@ def cmd_recommend(args) -> int:
 
 def cmd_sweep(args) -> int:
     _check_out_path("--json", args.json)
+    eval_config = _eval_config(args)
     try:
         alphas = [float(part) for part in args.alphas.split(",") if part.strip()]
     except ValueError:
@@ -176,9 +184,9 @@ def cmd_sweep(args) -> int:
     if not alphas:
         raise CliError("--alphas must name at least one value")
 
-    dataset, config = _training_inputs(args)
-    table, _ = _embedding_source(args, dataset.items, "sweep")
-    reports = sweep_alpha(dataset, table, config, alphas, _eval_config(args))
+    dataset, config = _training_inputs(args, "sweep", alphas)
+    table, _ = _embedding_source(args, dataset.items)
+    reports = sweep_alpha(dataset, table, config, alphas, eval_config)
     _print_reports(args, reports, [r.to_dict() for r in reports])
     return 0
 

@@ -108,10 +108,6 @@ class RatingTriples:
     def __len__(self) -> int:
         return len(self.users)
 
-    def rows(self):
-        """Iterate (u, i, rating) tuples."""
-        return zip(self.users.tolist(), self.items.tolist(), self.ratings.tolist())
-
     @classmethod
     def empty(cls) -> "RatingTriples":
         return cls(

@@ -38,10 +38,7 @@ class HybridModel(FactorModel):
 
     def __init__(self, factors: FactorModel, projection: np.ndarray,
                  embeddings: ItemEmbeddingTable, alpha: float, fusion: str = FUSION_ADDITIVE):
-        expected = (factors.n_factors, embeddings.dim)
-        if projection.shape != expected:
-            raise ValueError(f"projection shape {projection.shape} does not match {expected}")
-        V = _projected_catalogue(embeddings.dense(factors.n_items), projection)
+        V = _projected_catalogue(factors, embeddings.dense(factors.n_items), projection)
         fused = fused_factors(factors, V, alpha, fusion)
         super().__init__(fused.user_factors, fused.item_factors)
         self.factors = factors

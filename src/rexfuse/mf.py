@@ -52,6 +52,11 @@ class FactorModel:
     user_factors: np.ndarray  # (n_users, n_factors)
     item_factors: np.ndarray  # (n_items, n_factors)
 
+    def __post_init__(self):
+        p, q = np.shape(self.user_factors), np.shape(self.item_factors)
+        if not (len(p) == len(q) == 2 and p[1] == q[1]):
+            raise ValueError(f"user factors {p} and item factors {q} must be 2-D and equally wide")
+
     @property
     def n_users(self) -> int:
         return self.user_factors.shape[0]
@@ -181,12 +186,15 @@ def loss_mse(pairs) -> float:
     return float(np.mean(diff * diff))
 
 
-def _projected_catalogue(embeddings, projection):
-    """V = E @ W.T for the fused score (``_row_dot``), or None without a projection."""
+def _projected_catalogue(model: FactorModel, embeddings, projection):
+    """V = E @ W.T (``_row_dot``), or None without W; the one rule: E is (n_items, d), W (k, d)."""
     if projection is None:
         return None
-    if embeddings is None:
-        raise ValueError("a projection was given without item embeddings")
+    e, w = np.shape(embeddings), np.shape(projection)
+    d = e[1] if len(e) == 2 else None
+    if (e, w) != ((model.n_items, d), (model.n_factors, d)):
+        raise ValueError(f"projection shape {w} and embeddings shape {e} do not match "
+                         f"{model.n_factors} factors and {model.n_items} items")
     return _row_dot(embeddings[:, None, :], projection)
 
 
@@ -208,11 +216,7 @@ def loss_regularized(
     """
     if len(data) == 0:
         raise ValueError("loss_regularized needs at least one interaction")
-    if projection is not None and projection.shape[0] != model.n_factors:
-        raise ValueError(
-            f"projection shape {projection.shape} does not match n_factors {model.n_factors}"
-        )
-    fused = fused_factors(model, _projected_catalogue(embeddings, projection), alpha, fusion)
+    fused = fused_factors(model, _projected_catalogue(model, embeddings, projection), alpha, fusion)
     err = score_pairs(fused, data.users, data.items) - data.ratings
     mse = float(np.mean(err * err))
     user_energy = np.sum(model.user_factors**2, axis=1)
@@ -242,7 +246,7 @@ def loss_gradients(
         raise ValueError("loss_gradients needs at least one interaction")
     P, Q = model.user_factors, model.item_factors
     us, its = data.users, data.items
-    fused = fused_factors(model, _projected_catalogue(embeddings, projection), alpha, fusion)
+    fused = fused_factors(model, _projected_catalogue(model, embeddings, projection), alpha, fusion)
     err = score_pairs(fused, us, its) - data.ratings
     # without a projection the prediction is the plain dot product
     cf_w, sem_w = (1.0, 0.0) if projection is None else fusion_weights(alpha, fusion)

@@ -27,6 +27,11 @@ def embedding_table(dim, vectors):
     return ItemEmbeddingTable(np.fromiter(vectors, np.intp, len(vectors)), rows)
 
 
+def triple_rows(data):
+    """The (u, i, rating) tuples of a ``RatingTriples``, as the loop oracles take them."""
+    return list(zip(data.users.tolist(), data.items.tolist(), data.ratings.tolist()))
+
+
 def dense_dataset(rows, n_users, n_items):
     """Dataset with every row in the training split; for direct model tests."""
     return InteractionDataset(

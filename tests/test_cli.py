@@ -514,6 +514,16 @@ def test_sweep_bad_alphas_fail_cleanly(fusion_files, capsys):
     assert "--alphas" in captured.err
 
 
+def test_sweep_alphas_naming_no_value_fail_cleanly(fusion_files, capsys):
+    data, text = fusion_files
+    code = run(["sweep", "--data", data, "--format", "csv", "--item-text", text,
+                "--alphas", ","])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: --alphas must name at least one value\n"
+
+
 @pytest.mark.parametrize("alphas, bad", [("0,0.5,nan", "nan"), ("0.5,-1", "-1.0")])
 def test_sweep_refuses_a_bad_alpha_before_it_trains(fusion_files, monkeypatch, capsys,
                                                    alphas, bad):
@@ -540,6 +550,38 @@ def test_bad_training_flag_reported_before_the_text_source(fusion_files, tmp_pat
     code = run([command, "--data", data, "--format", "csv", "--lr", "0", *extra])
     assert code == 1
     assert capsys.readouterr().err == "error: learning_rate must be finite and positive, got 0.0\n"
+
+
+# each bad flag, given with files that do not exist: its error comes before any read
+BAD_FLAGS = {
+    "train-k": (["train", "--mode", "mf", "--k", "0"],
+                "n_factors must be a positive integer, got 0"),
+    "train-alpha": (["train", "--mode", "hybrid", "--alpha", "nan", "--item-text", "missing.jsonl"],
+                    "alpha must be finite and >= 0, got nan"),
+    "train-text": (["train", "--mode", "hybrid"],
+                   "--mode hybrid requires --item-text or --embeddings"),
+    "evaluate-k-at": (["evaluate", "--model", "missing.json", "--k-at", "0"],
+                      "top_k must be a positive integer, got 0"),
+    "evaluate-threshold": (["evaluate", "--model", "missing.json", "--threshold", "nan"],
+                           "relevance_threshold must be a finite number, got nan"),
+    "sweep-alpha": (["sweep", "--alphas", "0,nan", "--item-text", "missing.jsonl"],
+                    "alpha must be finite and >= 0, got nan"),
+    "sweep-k-at": (["sweep", "--alphas", "0.5", "--item-text", "missing.jsonl", "--k-at", "0"],
+                   "top_k must be a positive integer, got 0"),
+    "sweep-text": (["sweep", "--alphas", "0.5"], "sweep requires --item-text or --embeddings"),
+}
+
+
+@pytest.mark.parametrize("argv, message", BAD_FLAGS.values(), ids=BAD_FLAGS)
+def test_every_flag_is_checked_before_any_file_is_read(tmp_path, monkeypatch, capsys,
+                                                        argv, message):
+    monkeypatch.chdir(tmp_path)
+    out = [] if argv[0] != "train" else ["--out", "m.json"]
+    code = run([*argv, "--data", "missing.csv", "--format", "csv", *out])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------- console entry

@@ -64,6 +64,13 @@ def test_csv_non_numeric_rating_cites_line_2(tmp_path):
         load_interactions(path, "csv")
 
 
+def test_csv_empty_file_rejected_naming_the_file(tmp_path):
+    path = write(tmp_path / "r.csv", "")
+    with pytest.raises(ValueError) as info:
+        load_interactions(path, "csv")
+    assert str(info.value) == f"{path}: empty file"
+
+
 def test_csv_bad_header_rejected(tmp_path):
     path = write(tmp_path / "r.csv", "user,item,score\nu1,i1,3\n")
     with pytest.raises(ValueError, match="header"):

@@ -6,6 +6,7 @@ from rexfuse.hybrid import (
     HybridModel,
     predict_cold_start,
     predict_hybrid,
+    resolve_embeddings,
     semantic_score,
     train_hybrid,
 )
@@ -24,7 +25,7 @@ from rexfuse.dataset import build_dataset, load_interactions
 from rexfuse.evaluate import EvalConfig, evaluate_model
 from rexfuse.semantic import embed_corpus
 
-from conftest import dense_dataset, embedding_table, random_interactions
+from conftest import dense_dataset, embedding_table, random_interactions, triple_rows
 from oracles import (
     central_differences,
     dot_naive,
@@ -265,7 +266,7 @@ def test_rank1_with_informative_text_fits_and_matches_oracle():
     cfg = TrainConfig(n_factors=1, learning_rate=0.05, reg=0.01, epochs=600, seed=3)
     model, losses = train_hybrid(ds, corpus, cfg, alpha=0.5, embed_dim=4)
 
-    pairs = [(predict_hybrid(model, u, i), y) for u, i, y in ds.train.rows()]
+    pairs = [(predict_hybrid(model, u, i), y) for u, i, y in triple_rows(ds.train)]
     mse = float(np.mean([(p - y) ** 2 for p, y in pairs]))
     assert mse < 1e-2
 
@@ -275,7 +276,7 @@ def test_rank1_with_informative_text_fits_and_matches_oracle():
     W = rng.uniform(-0.1, 0.1, (1, 4))
     E = model.embeddings.dense(6)
     oracle_loss = full_batch_gd(
-        P, Q, list(ds.train.rows()), lam=0.01, lr=0.3, iters=8000, W=W, E=E, alpha=0.5
+        P, Q, triple_rows(ds.train), lam=0.01, lr=0.3, iters=8000, W=W, E=E, alpha=0.5
     )
     assert losses[-1] == pytest.approx(oracle_loss, rel=0.1)
 
@@ -466,3 +467,27 @@ def test_model_validates_projection_shape():
             P=[[1.0, 0.0]], Q=[[1.0, 0.0]],
             W=np.ones((3, 2)), vectors={0: [1.0, 1.0]}, alpha=0.5,
         )
+
+
+def test_model_names_both_head_shapes_and_the_model_it_misses():
+    with pytest.raises(ValueError) as info:
+        make_model(
+            P=[[1.0, 0.0]], Q=[[1.0, 0.0], [0.0, 1.0]],
+            W=np.ones((3, 4)), vectors={0: [1.0, 1.0, 0.0, 0.0]}, alpha=0.5,
+        )
+    assert str(info.value) == (
+        "projection shape (3, 4) and embeddings shape (2, 4) do not match 2 factors and 2 items"
+    )
+
+
+def test_resolve_embeddings_refuses_other_sources():
+    with pytest.raises(TypeError) as info:
+        resolve_embeddings(42)
+    assert str(info.value) == "expected ItemEmbeddingTable or ItemTextCorpus, got <class 'int'>"
+
+
+def test_train_hybrid_refuses_an_empty_training_split():
+    _, table = hybrid_toy_dataset()
+    with pytest.raises(ValueError) as info:
+        train_hybrid(dense_dataset([], 5, 6), table, TrainConfig(epochs=1), alpha=0.5)
+    assert str(info.value) == "training split is empty"

@@ -21,7 +21,7 @@ from rexfuse.mf import (
     train_mf,
 )
 
-from conftest import dense_dataset, random_interactions
+from conftest import dense_dataset, random_interactions, triple_rows
 from oracles import (
     central_differences,
     full_batch_gd,
@@ -90,6 +90,20 @@ def test_config_rejects_booleans_as_numbers(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "P, Q",
+    [(np.ones((3, 4)), np.arange(5.0)[:, None]), (np.ones(4), np.ones((5, 4))),
+     (np.ones((3, 4)), np.ones((2, 5, 4))), (np.ones((3, 4)), 1.0)],
+    ids=["unequal-widths", "flat-users", "3-d-items", "scalar-items"],
+)
+def test_factor_model_refuses_factors_that_are_not_2d_and_equally_wide(P, Q):
+    with pytest.raises(ValueError) as info:
+        FactorModel(P, Q)
+    assert str(info.value) == (
+        f"user factors {np.shape(P)} and item factors {np.shape(Q)} must be 2-D and equally wide"
+    )
+
+
 def test_init_factors_deterministic_and_shaped():
     cfg = TrainConfig(n_factors=4, seed=77)
     a = init_factors(3, 5, cfg)
@@ -156,7 +170,7 @@ def test_loss_regularized_reduces_to_mse_at_zero_reg():
     data = RatingTriples.from_rows(
         [(u, i, float(rng.normal())) for u in range(4) for i in range(5)]
     )
-    pairs = [(predict_mf(model, u, i), y) for u, i, y in data.rows()]
+    pairs = [(predict_mf(model, u, i), y) for u, i, y in triple_rows(data)]
     assert loss_regularized(model, data, reg=0.0) == pytest.approx(loss_mse(pairs), rel=1e-15)
 
 
@@ -173,7 +187,7 @@ def test_loss_regularized_matches_naive_oracle():
         [(int(rng.integers(4)), int(rng.integers(6)), float(rng.normal())) for _ in range(30)]
     )
     expected = loss_eq6_naive(
-        model.user_factors.tolist(), model.item_factors.tolist(), list(data.rows()), 0.07
+        model.user_factors.tolist(), model.item_factors.tolist(), triple_rows(data), 0.07
     )
     got = loss_regularized(model, data, reg=0.07)
     assert abs(got - expected) <= 1e-12 * abs(expected)
@@ -184,6 +198,39 @@ def test_loss_regularized_shape_mismatch():
     data = RatingTriples.from_rows([(0, 0, 1.0)])
     with pytest.raises(ValueError):
         loss_regularized(model, data, reg=0.0, projection=np.zeros((4, 5)), embeddings=np.zeros((2, 5)))
+
+
+# a 5-item, 4-factor model against heads that break E (n_items, d), W (n_factors, d)
+WRONG_HEADS = {
+    "one-row-projection": (np.ones((1, 6)), np.ones((5, 6))),
+    "one-row-embeddings": (np.ones((4, 6)), np.ones((1, 6))),
+    "seven-row-embeddings": (np.ones((4, 4)), np.ones((7, 4))),
+    "narrower-embeddings": (np.ones((4, 6)), np.ones((5, 5))),
+    "flat-embeddings": (np.ones((4, 5)), np.ones(5)),
+    "no-embeddings": (np.ones((4, 6)), None),
+}
+
+
+@pytest.mark.parametrize("W, E", WRONG_HEADS.values(), ids=WRONG_HEADS)
+@pytest.mark.parametrize("loss", [loss_regularized, loss_gradients])
+def test_losses_refuse_a_head_that_does_not_fit_the_model(loss, W, E):
+    rng = np.random.default_rng(6)
+    model = FactorModel(rng.normal(size=(3, 4)), rng.normal(size=(5, 4)))
+    data = RatingTriples.from_rows([(0, 0, 1.0), (1, 4, 2.0), (2, 1, 3.0)])
+    with pytest.raises(ValueError) as info:
+        loss(model, data, 0.1, projection=W, embeddings=E, alpha=0.5)
+    assert str(info.value) == (
+        f"projection shape {np.shape(W)} and embeddings shape {np.shape(E)} "
+        "do not match 4 factors and 5 items"
+    )
+
+
+@pytest.mark.parametrize("loss", [loss_regularized, loss_gradients])
+def test_losses_refuse_empty_data(loss):
+    model = FactorModel(np.ones((2, 3)), np.ones((2, 3)))
+    with pytest.raises(ValueError) as info:
+        loss(model, RatingTriples.empty(), 0.1)
+    assert str(info.value) == f"{loss.__name__} needs at least one interaction"
 
 
 # ---------------------------------------------------------------- gradients
@@ -218,7 +265,7 @@ def test_train_rank1_fits_and_matches_full_batch_oracle():
     rng = np.random.default_rng(100)
     P = rng.uniform(-0.1, 0.1, (3, 1))
     Q = rng.uniform(-0.1, 0.1, (3, 1))
-    triples = list(ds.train.rows())
+    triples = triple_rows(ds.train)
     full_batch_gd(P, Q, triples, lam=0.0, lr=0.4, iters=4000)
     for u, i, _ in triples:
         assert abs(predict_mf(model, u, i) - float(P[u] @ Q[i])) < 1e-6

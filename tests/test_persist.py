@@ -131,6 +131,26 @@ def test_version_mismatch_rejected(tmp_path):
         load_bundle(path)
 
 
+def test_a_file_that_is_not_json_is_rejected_naming_the_file(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("not json")
+    with pytest.raises(ValueError) as info:
+        load_bundle(path)
+    assert str(info.value) == f"{path}: malformed JSON (Expecting value)"
+
+
+def test_a_factor_row_that_is_not_a_list_is_rejected_naming_the_field(tmp_path):
+    _, bundle = mf_bundle()
+    path = tmp_path / "model.json"
+    save_bundle(bundle, path)
+    doc = json.loads(path.read_text())
+    doc["user_factors"][0] = 0.5
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
+        load_bundle(path)
+    assert str(info.value) == f"{path}: field 'user_factors' must be a list of numbers"
+
+
 @pytest.mark.parametrize("version", [True, 1.0, "1"])
 def test_version_equal_to_one_but_not_the_integer_rejected(tmp_path, version):
     _, bundle = mf_bundle()

@@ -160,6 +160,13 @@ def test_load_embeddings_non_number_names_file_and_line(tmp_path, vector):
     assert str(info.value) == f"{path}:2: vector must be a list of numbers"
 
 
+def test_load_embeddings_empty_vector_names_file_and_line(tmp_path):
+    path = write_jsonl(tmp_path, [json.dumps({"item_id": "a", "vector": []})])
+    with pytest.raises(ValueError) as info:
+        load_embeddings_file(path, IdIndex(["a"]))
+    assert str(info.value) == f"{path}:1: vector must be a non-empty flat list"
+
+
 def test_load_embeddings_unknown_id_skipped(tmp_path):
     path = write_jsonl(tmp_path, [
         json.dumps({"item_id": "nope", "vector": [1.0, 2.0]}),
