@@ -119,6 +119,9 @@ class RatingTriples:
     @classmethod
     def from_rows(cls, rows) -> "RatingTriples":
         rows = list(rows)
+        for k, row in enumerate(rows):
+            if not (is_int(row[0]) and is_int(row[1])):
+                raise ValueError(f"row {k} {tuple(row)!r}: user and item indices must be integers")
         users = np.array([r[0] for r in rows], dtype=np.int64)
         items = np.array([r[1] for r in rows], dtype=np.int64)
         ratings = np.array([r[2] for r in rows], dtype=np.float64)

@@ -204,6 +204,7 @@ def evaluate_model(
     test, train, n_items = dataset.test, dataset.train, dataset.n_items
     if model.n_items != n_items:
         raise ValueError(f"the model scores {model.n_items} items but the dataset has {n_items}")
+    _check_index(train.users, model.n_users, "user")
     _check_index(train.items, n_items, "item")
     relevant = test.ratings >= config.relevance_threshold
     relevant = _distinct(test.users[relevant] * n_items + test.items[relevant])

@@ -13,6 +13,7 @@ from .mf import (
     fusion_weights,
     init_factors,
     loss_regularized,
+    predict_mf,
     sgd_epochs,
 )
 from .semantic import ItemEmbeddingTable, embed_corpus
@@ -55,12 +56,10 @@ class HybridModel(FactorModel):
 
 def semantic_score(model: HybridModel, u: int, i: int) -> float:
     """User affinity to the projected item embedding; 0 for items without one."""
-    return float(model.semantic_scores(u, [i])[0])
+    return predict_mf(model.semantic, u, i)
 
 
-def predict_hybrid(model: HybridModel, u: int, i: int) -> float:
-    """Fused score; at alpha=0 this is exactly the factor prediction."""
-    return float(model.score_items(u, [i])[0])
+predict_hybrid = predict_mf
 
 
 def predict_cold_start(model: HybridModel, u: int, i: int) -> float:
@@ -72,7 +71,7 @@ def predict_cold_start(model: HybridModel, u: int, i: int) -> float:
     _check_index(i, model.n_items, "item")
     if i not in model.embeddings:
         raise ValueError(f"cold item without content: item {i} has no text or embedding")
-    return float(model.semantic_scores(u, [i])[0])
+    return predict_mf(model.semantic, u, i)
 
 
 def resolve_embeddings(source, dim=None) -> ItemEmbeddingTable:

@@ -72,17 +72,14 @@ class FactorModel:
     def score_items(self, u: int, items: np.ndarray) -> np.ndarray:
         """Scores for one user against item indices, or ``slice(None)`` for the catalogue.
 
-        ``u`` may also be a column of user indices, giving one row per user.
+        ``u`` may also be a column of user indices (one row per user) or pair up with ``items``.
         """
         _check_index(u, self.n_users, "user")
         if not isinstance(items, slice):
             _check_index(items, self.n_items, "item")
         return score_pairs(self, u, items)
 
-    def predict_pairs(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        _check_index(users, self.n_users, "user")
-        _check_index(items, self.n_items, "item")
-        return score_pairs(self, users, items)
+    predict_pairs = score_items
 
 
 def fusion_weights(alpha: float, fusion: str) -> tuple:
@@ -126,8 +123,8 @@ def _row_dot(a, b, out=None) -> np.ndarray:
 def score_pairs(model: FactorModel, users, items) -> np.ndarray:
     """Score of each (user, item) pair: the dot product P_u.Q_i (``_row_dot``).
 
-    This is the only scorer: pair lists, catalogue rows, fused scores (through
-    ``fused_factors``) and cold-start scores all come from it.  ``users`` may
+    This is the only scorer, and it checks no index: ``FactorModel.score_items``
+    checks them first, as ``evaluate_model`` does for ``_top_lists``.  ``users`` may
     be one index, which broadcasts against ``items``.  Two 1-D index arrays
     of equal length longer than ``_PAIR_BLOCK`` are scored block by block
     into one output, with the same bits; any other input (broadcasting, a
@@ -173,15 +170,16 @@ def init_factors(n_users: int, n_items: int, config: TrainConfig, rng=None) -> F
 
 
 def predict_mf(model: FactorModel, u: int, i: int) -> float:
-    """Dot product of user and item factors."""
+    """Dot product of user and item factors: for a ``HybridModel``, the fused score."""
     return float(model.score_items(u, [i])[0])
 
 
 def loss_mse(pairs) -> float:
     """Mean squared error over (predicted, actual) pairs."""
     arr = np.asarray(list(pairs), dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("loss_mse needs at least one (predicted, actual) pair")
+    if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) == 0:
+        raise ValueError("loss_mse needs at least one (predicted, actual) pair, "
+                         f"got shape {arr.shape}")
     diff = arr[:, 0] - arr[:, 1]
     return float(np.mean(diff * diff))
 
@@ -217,7 +215,7 @@ def loss_regularized(
     if len(data) == 0:
         raise ValueError("loss_regularized needs at least one interaction")
     fused = fused_factors(model, _projected_catalogue(model, embeddings, projection), alpha, fusion)
-    err = score_pairs(fused, data.users, data.items) - data.ratings
+    err = fused.score_items(data.users, data.items) - data.ratings
     mse = float(np.mean(err * err))
     user_energy = np.sum(model.user_factors**2, axis=1)
     item_energy = np.sum(model.item_factors**2, axis=1)
@@ -247,7 +245,7 @@ def loss_gradients(
     P, Q = model.user_factors, model.item_factors
     us, its = data.users, data.items
     fused = fused_factors(model, _projected_catalogue(model, embeddings, projection), alpha, fusion)
-    err = score_pairs(fused, us, its) - data.ratings
+    err = fused.score_items(us, its) - data.ratings
     # without a projection the prediction is the plain dot product
     cf_w, sem_w = (1.0, 0.0) if projection is None else fusion_weights(alpha, fusion)
 
@@ -362,6 +360,8 @@ def sgd_epochs(model: FactorModel, train: RatingTriples, config: TrainConfig, lo
     """
     P, Q = model.user_factors, model.item_factors
     tu, ti, tr = train.users, train.items, train.ratings
+    _check_index(tu, len(P), "user")
+    _check_index(ti, len(Q), "item")
     lr, lam = config.learning_rate, config.reg
     c = 1.0 - lr * lam
     sem_w = 0.0

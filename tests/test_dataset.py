@@ -6,6 +6,7 @@ import pytest
 from rexfuse.dataset import (
     IdIndex,
     Interaction,
+    RatingTriples,
     build_dataset,
     load_interactions,
     load_item_text,
@@ -116,6 +117,28 @@ def test_index_round_trip():
     idx = IdIndex(str(x) for x in [5, 3, 9, 3, 7])
     for ext in idx.ids:
         assert idx.id(idx.index(ext)) == ext
+
+
+@pytest.mark.parametrize(
+    "row, text",
+    [
+        ((0.7, 1.9, 3.0), "(0.7, 1.9, 3.0)"),
+        ((True, 2, 4.0), "(True, 2, 4.0)"),
+        ((1, 2.0, 4.0), "(1, 2.0, 4.0)"),
+        (("1", 2, 4.0), "('1', 2, 4.0)"),
+    ],
+)
+def test_rating_triples_from_rows_refuses_indices_that_are_not_integers(row, text):
+    """0.7 and 1.9 were cut to 0 and 1, and True read as 1: each names its row."""
+    with pytest.raises(ValueError) as info:
+        RatingTriples.from_rows([(0, 1, 3.0), row])
+    assert str(info.value) == f"row 1 {text}: user and item indices must be integers"
+
+
+def test_rating_triples_from_rows_takes_python_and_numpy_integers():
+    data = RatingTriples.from_rows([(np.int32(2), np.int64(0), 1), (0, np.uint8(3), 2.5)])
+    assert data.users.tolist() == [2, 0] and data.items.tolist() == [0, 3]
+    assert data.ratings.tolist() == [1.0, 2.5]
 
 
 # ---------------------------------------------------------------- splitting

@@ -381,6 +381,19 @@ def test_evaluate_model_rejects_a_model_of_another_catalogue():
         evaluate_model(model, ds)
 
 
+@pytest.mark.parametrize("bad", [-1, 7])
+def test_evaluate_model_refuses_a_training_user_out_of_range(bad):
+    """Such a user's training items would mask no one's list, and the report would not say so."""
+    ds = InteractionDataset(
+        IdIndex(["a", "b"]), IdIndex(["x", "y", "z"]), triples([(0, 0, 3.0), (bad, 1, 4.0)]),
+        RatingTriples.empty(), triples([(0, 1, 5.0), (1, 2, 5.0)]),
+    )
+    model = FactorModel(np.ones((2, 3)), np.ones((3, 3)))
+    with pytest.raises(IndexError) as info:
+        evaluate_model(model, ds)
+    assert str(info.value) == f"user index {bad} out of range [0, 2)"
+
+
 def adversarial_factors(case, rng, n_users, n_items, k=32):
     """Factors on which the BLAS product and the einsum pair scores disagree or break down."""
     P, Q = rng.normal(size=(n_users, k)), rng.normal(size=(n_items, k))

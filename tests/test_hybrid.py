@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rexfuse import mf
 from rexfuse.dataset import ItemTextCorpus, RatingTriples
 from rexfuse.hybrid import (
     HybridModel,
@@ -491,3 +492,21 @@ def test_train_hybrid_refuses_an_empty_training_split():
     with pytest.raises(ValueError) as info:
         train_hybrid(dense_dataset([], 5, 6), table, TrainConfig(epochs=1), alpha=0.5)
     assert str(info.value) == "training split is empty"
+
+
+@pytest.mark.parametrize("mode", ["mf", "additive-0.5", "additive-0"])
+def test_training_refuses_a_pair_out_of_range_before_the_first_epoch(monkeypatch, mode):
+    """-1 and -2 would train the last user's and item's rows: no epoch starts."""
+    shuffles = []
+    shuffle = mf.epoch_shuffle
+    monkeypatch.setattr(mf, "epoch_shuffle", lambda *args: shuffles.append(args) or shuffle(*args))
+    ds = dense_dataset([(-1, 0, 1.0), (0, -2, 2.0), (1, 1, 3.0)], 3, 4)
+    config = TrainConfig(n_factors=2, epochs=2)
+    with pytest.raises(IndexError) as info:
+        if mode == "mf":
+            train_mf(ds, config)
+        else:
+            table = embedding_table(3, {0: [1.0, 0.0, 0.0], 2: [0.0, 1.0, 1.0]})
+            train_hybrid(ds, table, config, alpha=float(mode.split("-")[1]))
+    assert str(info.value) == "user index -1 out of range [0, 3)"
+    assert shuffles == []

@@ -233,6 +233,38 @@ def test_losses_refuse_empty_data(loss):
     assert str(info.value) == f"{loss.__name__} needs at least one interaction"
 
 
+@pytest.mark.parametrize("head", [False, True])
+@pytest.mark.parametrize("loss", [loss_regularized, loss_gradients])
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([(-1, 0, 1.0), (0, -2, 2.0)], "user index -1 out of range [0, 3)"),
+        ([(0, 0, 1.0), (2, 4, 2.0)], "item index 4 out of range [0, 4)"),
+        ([(0, 0, 1.0), (3, 1, 2.0)], "user index 3 out of range [0, 3)"),
+    ],
+)
+def test_losses_refuse_an_index_out_of_range(loss, rows, message, head):
+    """-1 would read the last row (loss_regularized returned 0.9) and 3 would overrun: both raise."""
+    model = FactorModel(np.ones((3, 2)), np.ones((4, 2)))
+    fused = dict(projection=np.ones((2, 5)), embeddings=np.ones((4, 5)), alpha=0.5) if head else {}
+    with pytest.raises(IndexError) as info:
+        loss(model, RatingTriples.from_rows(rows), 0.1, **fused)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "pairs, shape",
+    [([(1.0, 2.0, 99.0)], (1, 3)), ([1.0, 2.0], (2,)), ([], (0,)), ([()], (1, 0))],
+)
+def test_loss_mse_accepts_only_predicted_actual_pairs(pairs, shape):
+    """A third column was ignored and a flat list failed inside numpy: both name the shape."""
+    with pytest.raises(ValueError) as info:
+        loss_mse(pairs)
+    assert str(info.value) == (
+        f"loss_mse needs at least one (predicted, actual) pair, got shape {shape}"
+    )
+
+
 # ---------------------------------------------------------------- gradients
 
 def test_gradients_match_finite_differences():

@@ -144,3 +144,19 @@ def test_cli_leg_records_every_run(tmp_path, monkeypatch):
     assert json.loads(outputs["sweep: cli-sweep.json"])[0]["alpha"] == 0.0
     assert outputs["train mf: cli-mf.json"].startswith(b'{"version": 1, "mode": "mf"')
     assert outputs["train --reg nan: cli-nan.json"] is None
+
+
+def test_summary_counts_each_verdict():
+    """The last line quotes the counts a change entry cites; a break reports how many outputs."""
+    assert parity.summary("f00d", parity.verdicts(outputs(1), outputs(1))) == (
+        "parity against f00d: ok (15 bitwise, 15 equal)"
+    )
+    head = outputs(1)
+    head["additive-0.5"]["losses"] = head["additive-0.5"]["losses"] * (1 + 4e-16)
+    assert parity.summary("f00d", parity.verdicts(outputs(1), head)) == (
+        "parity against f00d: ok (14 bitwise, 15 equal, 1 within 1e-12 relative)"
+    )
+    head["mf"]["topk"] = [[0, 1, 2], [3, 1, 0]]
+    assert parity.summary("f00d", parity.verdicts(outputs(1), head)) == (
+        "parity against f00d: 1 outputs break the contract"
+    )

@@ -27,7 +27,8 @@ stderr, exit code and the bytes of each file it writes.
 
 It prints, per mode and output, ``bitwise`` (arrays), ``equal`` (lists,
 reports, file bytes) or the largest difference relative to the largest entry,
-and exits 1 when an output breaks README's determinism contract:
+then a last line with the count of each verdict (``summary``), and exits 1
+when an output breaks README's determinism contract:
 
 * both datasets, and in every mode P, Q, ``W``, the embeddings and the model
   file, are bitwise equal;
@@ -275,6 +276,20 @@ def verdicts(base, head):
     return rows
 
 
+def summary(rev, rows):
+    """The last line of the report: how many outputs break the contract, or, when none does,
+    how many are ``bitwise``, ``equal`` and (at alpha > 0) within ``ULP_BOUND``."""
+    broken = sum(not ok for *_, ok in rows)
+    if broken:
+        return f"parity against {rev}: {broken} outputs break the contract"
+    texts = [text for _, _, text, _ in rows]
+    counts = [f"{texts.count('bitwise')} bitwise", f"{texts.count('equal')} equal"]
+    close = len(texts) - texts.count("bitwise") - texts.count("equal")
+    if close:
+        counts.append(f"{close} within {ULP_BOUND:g} relative")
+    return f"parity against {rev}: ok ({', '.join(counts)})"
+
+
 def export_src(rev, dest):
     """Extract ``src/`` of git revision ``rev`` under ``dest``; return the tree's path."""
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
@@ -320,10 +335,8 @@ def main(argv=None):
     width = max(len(name) for _, name, _, _ in rows)
     for mode, name, text, ok in rows:
         print(f"{mode:<13} {name:<{width}}  {text}{'' if ok else '  <- breaks the contract'}")
-    broken = sum(not ok for *_, ok in rows)
-    verdict = f"{broken} outputs break the contract" if broken else "ok"
-    print(f"parity against {args.base}: {verdict}")
-    return 1 if broken else 0
+    print(summary(args.base, rows))
+    return 0 if all(ok for *_, ok in rows) else 1
 
 
 if __name__ == "__main__":
