@@ -16,7 +16,7 @@ from .dataset import (
     require_int,
 )
 from .hybrid import HybridModel, resolve_embeddings, train_hybrid
-from .mf import FUSION_ADDITIVE, TrainConfig, _check_index, fusion_weights, score_pairs
+from .mf import FUSION_ADDITIVE, TrainConfig, _check_index, _check_one, fusion_weights, score_pairs
 
 # users ranked per pass of evaluate_model: a 64 x n_items block of scores
 _BLOCK = 64
@@ -137,6 +137,7 @@ def topk(model, u: int, k: int, exclude=()) -> list:
     ``_ranked`` ranks the items not excluded.  ``exclude`` is an int array or
     any iterable of item indices.
     """
+    _check_one(u, "user")
     excluded = np.asarray(exclude if isinstance(exclude, np.ndarray) else list(exclude))
     _check_index(excluded, model.n_items, "item")
     mask = np.ones(model.n_items, dtype=bool)
@@ -258,10 +259,11 @@ def recommend_for_user(model, u: int, k: int, item_train_counts, include_cold=Fa
 
     Warm items (>= 1 training interaction) score through the model's fused
     prediction; items with no training interactions are hidden unless
-    ``include_cold`` is set, in which case a hybrid model scores them through
-    the pure content path.  Path labels: "cf" for factor-only models,
+    ``include_cold`` is set, in which case a hybrid model scores them by its
+    semantic term alone, ``model.semantic``.  Path labels: "cf" for factor-only models,
     "cf+semantic" for hybrid warm scores, "cold-start" for the content path.
     """
+    _check_one(u, "user")
     counts = np.asarray(item_train_counts)
     if counts.shape != (model.n_items,) or (counts < 0).any():
         raise ValueError(f"item_train_counts must hold {model.n_items} non-negative counts")
@@ -269,8 +271,7 @@ def recommend_for_user(model, u: int, k: int, item_train_counts, include_cold=Fa
     is_hybrid = isinstance(model, HybridModel)
     scores = model.score_items(u, slice(None))
     if is_hybrid and include_cold:
-        cold = np.flatnonzero(~warm)
-        scores[cold] = model.semantic_scores(u, cold)
+        scores[~warm] = model.semantic.score_items(u, np.flatnonzero(~warm))
     ranked = _ranked(scores, np.flatnonzero(warm | include_cold), k)
     warm_label, cold_label = ("cf+semantic", "cold-start") if is_hybrid else ("cf", "cf")
     return [(int(i), float(scores[i]), warm_label if warm[i] else cold_label) for i in ranked]

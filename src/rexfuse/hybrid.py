@@ -8,6 +8,7 @@ from .mf import (
     FactorModel,
     TrainConfig,
     _check_index,
+    _check_one,
     _projected_catalogue,
     fused_factors,
     fusion_weights,
@@ -49,10 +50,6 @@ class HybridModel(FactorModel):
         self.fusion = fusion
         self.semantic = FactorModel(factors.user_factors, V)
 
-    def semantic_scores(self, u: int, items: np.ndarray) -> np.ndarray:
-        """Semantic term P_u.V_i alone: the factor score against the projected catalogue."""
-        return self.semantic.score_items(u, items)
-
 
 def semantic_score(model: HybridModel, u: int, i: int) -> float:
     """User affinity to the projected item embedding; 0 for items without one."""
@@ -68,6 +65,7 @@ def predict_cold_start(model: HybridModel, u: int, i: int) -> float:
     Meant for items with no training interactions.  Raises when the item has
     no embedding at all (nothing to score it from).
     """
+    _check_one(i, "item")
     _check_index(i, model.n_items, "item")
     if i not in model.embeddings:
         raise ValueError(f"cold item without content: item {i} has no text or embedding")

@@ -152,6 +152,12 @@ def _check_index(idx, n, kind):
         raise IndexError(f"{kind} index {outside.flat[0]} out of range [0, {n})")
 
 
+def _check_one(idx, kind):
+    """Raise a one-line IndexError unless ``idx`` is one index (a scalar or 0-d array)."""
+    if np.ndim(idx) != 0:
+        raise IndexError(f"{kind} index must be one integer, got shape {np.shape(idx)}")
+
+
 def init_factors(n_users: int, n_items: int, config: TrainConfig, rng=None) -> FactorModel:
     """Uniform [-init_scale, +init_scale] factors from a seeded generator.
 
@@ -171,6 +177,8 @@ def init_factors(n_users: int, n_items: int, config: TrainConfig, rng=None) -> F
 
 def predict_mf(model: FactorModel, u: int, i: int) -> float:
     """Dot product of user and item factors: for a ``HybridModel``, the fused score."""
+    _check_one(u, "user")
+    _check_one(i, "item")
     return float(model.score_items(u, [i])[0])
 
 

@@ -207,17 +207,6 @@ def test_c4_rank1_recovery():
     )
 
 
-class ColdStartScorer:
-    """Adapter exposing only the content path of a hybrid model to topk."""
-
-    def __init__(self, model):
-        self.model = model
-        self.n_items = model.n_items
-
-    def score_items(self, u, items):
-        return self.model.semantic_scores(u, items)
-
-
 def test_c5_cold_start():
     """Content scoring ranks held-out items well; factor scoring cannot."""
     budget = Budget(30.0)
@@ -228,9 +217,8 @@ def test_c5_cold_start():
     hybrid, _ = train_hybrid(dataset, corpus, config, alpha=0.5)
 
     warm = sorted(set(range(dataset.n_items)) - set(cold.tolist()))
-    ranker = ColdStartScorer(hybrid)
     recommendations = {
-        u: topk(ranker, u, 10, exclude=warm) for u in range(dataset.n_users)
+        u: topk(hybrid.semantic, u, 10, exclude=warm) for u in range(dataset.n_users)
     }
     _, hybrid_recall = precision_recall(recommendations, dataset.test, 4.0)
     assert hybrid_recall >= 0.5

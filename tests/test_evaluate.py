@@ -754,7 +754,7 @@ def test_out_of_range_item_rejected_naming_the_index(kind, where):
             predict_mf(model, 0, bad)
         return
     with pytest.raises(IndexError, match=message):
-        model.semantic_scores(0, [bad])
+        model.semantic.score_items(0, [bad])
     for predict in (predict_hybrid, semantic_score, predict_cold_start):
         with pytest.raises(IndexError, match=message):
             predict(model, 0, bad)
@@ -777,6 +777,32 @@ def test_non_integer_indices_rejected_naming_the_kind(kind):
     full = topk(model, 0, 4)
     assert len(full) == 4
     assert topk(model, 0, 4, exclude=[]) == topk(model, 0, 4, exclude=np.array([])) == full
+
+
+def test_an_array_where_one_user_is_documented_is_rejected():
+    """Two users' scores would merge into one list, or a pair list into one score: both raise."""
+    m = FactorModel(np.array([[1.0, 0], [0, 1.0], [1, 1.0]]), np.array([[2.0, 0], [0, 3.0]]))
+    users = r"^user index must be one integer, got shape \(2,\)$"
+    with pytest.raises(IndexError, match=users):
+        topk(m, np.array([0, 1]), 2)
+    with pytest.raises(IndexError, match=users):
+        predict_mf(m, np.array([1, 0]), 1)
+    with pytest.raises(IndexError, match=users):
+        recommend_for_user(m, np.array([0, 1]), 2, [1, 1])
+    with pytest.raises(IndexError, match=r"^item index must be one integer, got shape \(1,\)$"):
+        predict_mf(m, 0, [1])
+    # one index may be a numpy integer or a 0-d array
+    for u in (np.int64(2), np.array(2), np.uint8(2)):
+        assert topk(m, u, 2) == topk(m, 2, 2) == [1, 0]
+        assert recommend_for_user(m, u, 2, [1, 1]) == [(1, 3.0, "cf"), (0, 2.0, "cf")]
+        assert predict_mf(m, u, np.array(1)) == predict_mf(m, 2, 1) == 3.0
+    # predict_hybrid and semantic_score check through predict_mf; predict_cold_start checks first
+    _, models = random_scoring_models(3, 6, 3, 4, seed=9)
+    for predict in (predict_hybrid, semantic_score, predict_cold_start):
+        with pytest.raises(IndexError, match=users):
+            predict(models["additive-0.5"], np.array([0, 1]), 1)
+        with pytest.raises(IndexError, match=r"^item index must be one integer, got shape \(2,\)$"):
+            predict(models["additive-0.5"], 0, np.array([1, 2]))
 
 
 # ---------------------------------------------------------------- reporting
