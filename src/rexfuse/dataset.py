@@ -245,11 +245,44 @@ def _equal_byte_groups(raw, start, width: int) -> tuple:
     return order, first
 
 
-def _encode_ids(data: bytes, raw, start, end) -> tuple:
+def _encode_digits(raw, start, end) -> Optional[tuple]:
+    """Dictionary encoding of non-empty all-digit fields by value, or None where keys are too sparse.
+
+    A field's key is the integer of "1" + its text, so ``7`` and ``007`` differ,
+    and a table indexed by key holds each key's first row.  The table has at
+    most 2n + 65536 entries; a field of w digits has a key of at least 10**w,
+    so this also bounds the width, to 17 bytes at most (an int64 key).
+    """
+    n = len(start)
+    length = end - start
+    width = int(length.max())
+    bound = 2 * n + 65536
+    if 10**width > bound:
+        return None
+    key = np.power(10, length, dtype=np.int64)  # the leading "1"
+    for j in range(width):
+        digit = raw[end - 1 - j].astype(np.int64)  # index -width at most, read from the end
+        digit -= ord("0")
+        digit[length <= j] = 0
+        key += digit * 10**j
+    size = int(key.max()) + 1
+    if size > bound:
+        return None
+    table = np.full(size, n, dtype=np.int64)
+    np.minimum.at(table, key, np.arange(n))
+    first_rows = np.sort(table[table < n])
+    distinct = key[first_rows]
+    table[distinct] = np.arange(len(distinct))
+    return [str(k)[1:] for k in distinct.tolist()], table[key]
+
+
+def _encode_ids(data: bytes, raw, start, end, digits: bool) -> tuple:
     """Dictionary encoding of the fields ``data[start:end]``: (distinct texts, int64 codes).
 
     Reads an id column or the rating column.  The texts are decoded once each,
-    in first-appearance order.  Fields of different lengths differ; fields of
+    in first-appearance order.  Where ``digits`` holds (every field is ASCII
+    digits), ``_encode_digits`` encodes the column by value if its keys are
+    dense enough.  Otherwise fields of different lengths differ; fields of
     one length are grouped byte for byte, in one word pass per four bytes of
     each distinct length.  A pass costs a few numpy calls whatever its row
     count, so a column whose widest field is wider than its row count, or
@@ -259,6 +292,9 @@ def _encode_ids(data: bytes, raw, start, end) -> tuple:
     length = end - start
     if not length.all():
         raise ValueError("empty field")
+    encoded = _encode_digits(raw, start, end) if digits else None
+    if encoded is not None:
+        return encoded
     n = len(start)
     # checked before bincount, which allocates 8 bytes per byte of the widest field
     widths = np.flatnonzero(np.bincount(length)).tolist() if int(length.max()) <= n else None
@@ -282,30 +318,31 @@ def _encode_ids(data: bytes, raw, start, end) -> tuple:
     return [data[lo:hi].decode("utf-8") for lo, hi in bounds], rank[codes]
 
 
-def _ratings(data: bytes, raw, start, end) -> np.ndarray:
+def _ratings(data: bytes, raw, start, end, digits: bool) -> np.ndarray:
     """The float64 ratings ``data[start:end]``: each distinct text converted once by ``float``.
 
     A text that ``float`` rejects, or reads as non-finite, raises ValueError.
     """
-    texts, codes = _encode_ids(data, raw, start, end)
+    texts, codes = _encode_ids(data, raw, start, end, digits)
     values = np.array([float(text) for text in texts])
     if not np.isfinite(values).all():
         raise ValueError("non-finite rating")
     return values[codes]
 
 
-def _check_timestamps(data: bytes, raw, start, end) -> None:
+def _check_timestamps(data: bytes, raw, start, end, digits: bool) -> None:
     """Raise ValueError unless ``int`` reads each timestamp ``data[start:end]``.
 
     Fields of 1 to 18 ASCII digits pass vectorised; any other goes through
-    ``int`` on its text.
+    ``int`` on its text.  Where ``digits`` holds, every field is ASCII digits
+    already, so only the lengths are checked.
     """
     length = end - start
-    digits = (length >= 1) & (length <= 18)
-    for j in range(min(int(length.max()), 18)):
+    plain = (length >= 1) & (length <= 18)
+    for j in range(0 if digits else min(int(length.max()), 18)):
         byte = raw[end - 1 - j]  # index -1 - j at most, which numpy reads from the end
-        digits &= (byte - np.uint8(ord("0")) < 10) | (length <= j)
-    rows = np.flatnonzero(~digits).tolist()
+        plain &= (byte - np.uint8(ord("0")) < 10) | (length <= j)
+    rows = np.flatnonzero(~plain).tolist()
     for lo, hi in zip(start[rows].tolist(), end[rows].tolist()):
         int(data[lo:hi].decode("utf-8"))
 
@@ -324,7 +361,9 @@ def _parse_movielens_bulk(path) -> Optional[Interactions]:
     rating text once, so bulk ratings are the loop's by construction.
     Timestamps are checked, not kept: one of 1 to 18 ASCII digits passes as
     it is, any other goes through ``int``, the loop's parser, so the accepted
-    syntax is the same.
+    syntax is the same.  In a file whose only non-digit bytes are the
+    separators (MovieLens releases are), each column is encoded by value
+    where its keys allow (``_encode_digits``) and no timestamp byte is read.
     On any other file the caller runs ``_load_movielens100k``, which skips
     blank lines and raises the ``path:line:`` message.
     """
@@ -353,12 +392,14 @@ def _parse_movielens_bulk(path) -> Optional[Interactions]:
     if len(separators) % 4 != 3 or not newline[3::4].all() or np.count_nonzero(newline) != n - 1:
         return None
     del newline
+    # every byte a digit or a separator: each field is a decimal integer
+    digits = np.count_nonzero(raw - np.uint8(ord("0")) < 10) + len(separators) == len(raw)
     # the field f of the file spans bounds[f] + 1 .. bounds[f + 1]; row r holds fields 4r..4r+3
     bounds = np.concatenate([np.array([-1], offset), separators, np.array([len(raw)], offset)])
     del separators
 
     def column(k):
-        return data, raw, bounds[k : 4 * n : 4] + 1, bounds[k + 1 :: 4]
+        return data, raw, bounds[k : 4 * n : 4] + 1, bounds[k + 1 :: 4], digits
 
     try:
         users, items = _encode_ids(*column(0)), _encode_ids(*column(1))

@@ -265,7 +265,8 @@ def recommend_for_user(model, u: int, k: int, item_train_counts, include_cold=Fa
     """
     _check_one(u, "user")
     counts = np.asarray(item_train_counts)
-    if counts.shape != (model.n_items,) or (counts < 0).any():
+    # a NaN or fractional count would read as cold or warm; a string would not compare
+    if counts.dtype.kind not in "iu" or counts.shape != (model.n_items,) or (counts < 0).any():
         raise ValueError(f"item_train_counts must hold {model.n_items} non-negative counts")
     warm = counts > 0
     is_hybrid = isinstance(model, HybridModel)

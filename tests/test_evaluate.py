@@ -489,6 +489,9 @@ def test_prefilter_rescores_k_pairs_per_user_unless_its_bound_overflows(monkeypa
         [1, 0],  # too short: numpy would raise an IndexError about a boolean index
         np.ones((40, 1)),
         [1] * 39 + [-2],  # a negative count would read as cold
+        [1] * 39 + [np.nan],  # a NaN count would read as cold and hide the item
+        [0.5] * 39 + [1],  # fractional counts would read as warm
+        ["1"] * 40,  # a string array would fail in numpy's comparison
     ],
 )
 def test_recommend_rejects_bad_item_train_counts(counts):

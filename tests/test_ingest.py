@@ -367,6 +367,55 @@ def test_bulk_encodes_more_than_65536_distinct_users(tmp_path):
     assert_same_rows(bulk, path)
 
 
+# ---------------------------------------------------------------- all-digit files
+
+def digit_column(n, widths):
+    """``n`` texts of ASCII digits, leading zeros included, of 1 to w digits, w drawn from ``widths``."""
+    def texts(w):
+        text = st.text("0123456789", min_size=1, max_size=w)
+        if w <= 4:  # texts that differ only in leading zeros, often enough to meet in one file
+            text = st.one_of(st.sampled_from(["0", "00", "7", "07", "007"]), text)
+        return st.lists(text, min_size=n, max_size=n)
+    return st.sampled_from(widths).flatmap(texts)
+
+
+digit_files = st.integers(1, 30).flatmap(lambda n: st.tuples(
+    digit_column(n, (4, 18)), digit_column(n, (4, 18)), digit_column(n, (1, 3)), digit_column(n, (25,))
+))
+
+
+@settings(max_examples=200, deadline=None)
+@given(digit_files)
+def test_all_digit_files_encode_as_the_loop_reads_them(fuzz_dir, file_columns):
+    path = movielens_file(fuzz_dir / "digits.data", list(zip(*file_columns)))
+    bulk = _parse_movielens_bulk(path)
+    assert bulk is not None
+    assert_same_rows(bulk, path)
+
+
+def digit_rows(user=str, item=str, stamp=lambda k: str(881250949 + k)):
+    """300 rows of 40 users, 90 items and ratings 1 to 5, their fields spelled by the arguments."""
+    return [[user(1 + k % 40), item(1 + 7 * k % 90), str(1 + k % 5), stamp(k)] for k in range(300)]
+
+
+DIGIT_FILES = {  # rows, and the width of each group the word passes sort
+    "dense": (digit_rows(), []),
+    "ids padded to 12 digits": (digit_rows(lambda u: f"{u:012d}", lambda i: f"{i:012d}"), [12, 12]),
+    "an 18-digit id": ([["9" * 18, "1", "3", "5"]] + digit_rows(), [1, 2, 18]),
+    "a +3 timestamp": (digit_rows(stamp=lambda k: "+3" if k == 150 else str(k)), [1, 2, 1, 2, 1]),
+}
+
+
+@pytest.mark.parametrize("case", DIGIT_FILES)
+def test_only_dense_all_digit_columns_skip_the_word_passes(tmp_path, case):
+    rows, expected = DIGIT_FILES[case]
+    path = movielens_file(tmp_path / "u.data", rows)
+    bulk, widths = bulk_and_widths(path)
+    assert bulk is not None
+    assert_same_rows(bulk, path)
+    assert widths == expected
+
+
 @pytest.mark.parametrize("field", VALUE_CASES)
 def test_bulk_converts_adversarial_values_as_the_loop_does(tmp_path, field):
     column = 2 if field == "ratings" else 3

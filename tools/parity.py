@@ -18,8 +18,11 @@ ratings as a MovieLens file, as a CRLF rendering of it (``\\r\\n`` line
 ends), as a decimal rendering (non-integer rating texts in several spellings,
 ``write_decimal_rendering``), as a wide rendering (one user id of ``WIDE_ID``
 bytes, which the bulk parser encodes field by field rather than in word
-passes, ``write_wide_rendering``) and as a CSV rendering of the MovieLens
-file's rows, and records each dataset's user and item id lists and every
+passes, ``write_wide_rendering``), as a padded rendering (every user and item
+id left-padded with zeros to ``PADDED_ID`` digits, too sparse for the bulk
+parser's by-value encoding of all-digit columns, so they take the word passes,
+``write_padded_rendering``) and as a CSV rendering of the MovieLens file's
+rows, and records each dataset's user and item id lists and every
 train, validation and test column.  Its ``cli`` mode runs
 ``rexfuse.cli.main`` in-process on the same files (``COLUMNS`` fixed,
 ``$REXFUSE_SEED`` unset; see ``cli_runs``) and records each run's stdout,
@@ -77,11 +80,14 @@ ULP_BOUND = 1e-12
 INGESTS = {"movielens100k": ("ratings.tsv", "movielens100k"),
            "crlf": ("ratings-crlf.tsv", "movielens100k"),
            "decimal": ("ratings-decimal.tsv", "movielens100k"),
-           "wide": ("ratings-wide.tsv", "movielens100k"), "csv": ("ratings.csv", "csv")}
+           "wide": ("ratings-wide.tsv", "movielens100k"),
+           "padded": ("ratings-padded.tsv", "movielens100k"), "csv": ("ratings.csv", "csv")}
 # the decimal rendering's spellings of a rating; row k takes SPELLINGS[k % 7]
 SPELLINGS = ("{}", "+{}", " {}", "{}e0", "0{}", "{}_0", "{:.17f}")
 # the wide rendering's first user id, left-padded with zeros to this many bytes
 WIDE_ID = 200_000
+# the padded rendering's user and item ids, left-padded with zeros to this many digits
+PADDED_ID = 12
 
 
 def has_semantic_term(mode):
@@ -120,6 +126,14 @@ def write_wide_rendering(tsv, wide):
         user, rest = next(src).split("\t", 1)
         dst.write(f"{user:0>{WIDE_ID}}\t{rest}")
         dst.writelines(src)
+
+
+def write_padded_rendering(tsv, padded):
+    """The MovieLens file with every user and item id left-padded with zeros to ``PADDED_ID`` digits."""
+    with open(tsv, encoding="utf-8") as src, open(padded, "w", encoding="utf-8") as dst:
+        for line in src:
+            user, item, rest = line.split("\t", 2)
+            dst.write(f"{user:0>{PADDED_ID}}\t{item:0>{PADDED_ID}}\t{rest}")
 
 
 def write_crlf_rendering(tsv, crlf):
@@ -328,6 +342,7 @@ def main(argv=None):
         write_crlf_rendering(tmp / "ratings.tsv", tmp / "ratings-crlf.tsv")
         write_decimal_rendering(tmp / "ratings.tsv", tmp / "ratings-decimal.tsv")
         write_wide_rendering(tmp / "ratings.tsv", tmp / "ratings-wide.tsv")
+        write_padded_rendering(tmp / "ratings.tsv", tmp / "ratings-padded.tsv")
         base_src = export_src(args.base, tmp / "base")
         base = run_child(base_src, str(tmp), str(tmp / "base.pickle"))
         head = run_child(str(ROOT / "src"), str(tmp), str(tmp / "head.pickle"))
