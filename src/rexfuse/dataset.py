@@ -535,17 +535,36 @@ def split_sizes(n: int) -> tuple:
     return n_train, n_train_val - n_train, n - n_train_val
 
 
+def _check_columns(columns: Interactions):
+    """Refuse, as the file loaders do, an id that is not a non-empty string and a non-finite
+    rating: a one-line ValueError naming the first row that holds one."""
+    for kind, ids, codes in (
+        ("user", columns.user_ids, columns.user_codes),
+        ("item", columns.item_ids, columns.item_codes),
+    ):
+        bad = next((k for k, x in enumerate(ids) if not (isinstance(x, str) and x)), None)
+        if bad is not None:
+            row = int(np.argmax(codes == bad))
+            raise ValueError(f"row {row}: {kind} id {ids[bad]!r} is not a non-empty string")
+    bad = np.flatnonzero(~np.isfinite(columns.rating_column))
+    if bad.size:
+        row = int(bad[0])
+        raise ValueError(f"row {row}: non-finite rating {float(columns.rating_column[row])}")
+
+
 def build_dataset(interactions, split_seed: int) -> InteractionDataset:
     """Index interactions and split them 70/15/15 with a seeded shuffle.
 
     ``interactions`` is a sequence of ``Interaction`` rows or ``Interactions``
-    columns.  Indices are assigned in first-appearance order over the input;
-    the split applies a deterministic random permutation seeded by
-    ``split_seed`` before cutting.  Identical inputs and seed give identical
-    datasets.
+    columns; a row whose id is not a non-empty string, or whose rating is not
+    finite, raises ValueError, as in the file loaders.  Indices are assigned
+    in first-appearance order over the input; the split applies a
+    deterministic random permutation seeded by ``split_seed`` before cutting.
+    Identical inputs and seed give identical datasets.
     """
     require_int("split_seed", split_seed, 0)
     columns = Interactions.of(interactions)
+    _check_columns(columns)
     n = len(columns)
     if n < 3:
         raise ValueError(f"need at least 3 interactions to split, got {n}")

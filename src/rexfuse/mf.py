@@ -309,30 +309,61 @@ def conflict_free_levels(users, items, n_users: int, n_items: int) -> np.ndarray
 RUN_CAP = 64  # longest run of visits solved as one system in the fused step
 
 
-def conflict_free_runs(
-    users, items, n_users: int, n_items: int, cap: int = RUN_CAP
-) -> np.ndarray:
+def distinct_user_runs(users, n_users: int, cap: int = RUN_CAP) -> np.ndarray:
     """Boundaries ``[0, ..., n]`` of the runs of the fused SGD step, in visit order.
 
-    A run is a maximal stretch of consecutive visits in which no user and no
-    item repeats, and at most ``cap`` long: a run ends just before the first
-    visit whose user or item it already holds, or when it reaches ``cap``.
-    Within a run every visit reads its factor rows at their run-start values.
+    A run is a maximal stretch of consecutive visits in which no user repeats,
+    and at most ``cap`` long: a run ends just before the first visit whose
+    user it already holds, or when it reaches ``cap``.  Items may repeat.
     """
     user_run = [-1] * n_users
-    item_run = [-1] * n_items
-    bounds = array("q", [0])
+    bounds = [0]
     append = bounds.append
-    run = start = 0
-    for k, (u, i) in enumerate(zip(memoryview(users), memoryview(items))):
-        if user_run[u] == run or item_run[i] == run or k - start == cap:
+    run, end = 0, cap
+    for k, u in enumerate(memoryview(users)):
+        if user_run[u] == run or k == end:
             run += 1
-            start = k
+            end = k + cap
             append(k)
-        user_run[u] = item_run[i] = run
+        user_run[u] = run
     if len(users):
         append(len(users))
-    return np.frombuffer(bounds, dtype=np.int64)
+    return np.array(bounds, dtype=np.int64)
+
+
+def repeated_items(items, bounds) -> tuple:
+    """The item bookkeeping of the runs ``bounds`` over ``items``, in numpy.
+
+    Returns ``(j, last, pair_t, pair_m, pair_bounds)``: per visit, j is the
+    number of earlier visits of its item in its run, and ``last`` marks each
+    item's last visit in its run.  ``(pair_t[p], pair_m[p])`` lists every pair
+    of visits of one item in one run, m < t, as positions within that run,
+    run by run: run r's pairs are ``pair_bounds[r]:pair_bounds[r + 1]``.
+    """
+    n = len(items)
+    lengths = np.diff(bounds)
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    # visits by item, in visit order within an item, so one run's visits of an item are adjacent
+    keys = items.astype(np.uint16) if items.max(initial=0) < 1 << 16 else items  # a radix sort
+    order = np.argsort(keys, kind="stable")
+    key_item, key_run = items[order], run[order]
+    new = np.ones(n + 1, dtype=bool)
+    new[1:n] = (key_item[1:] != key_item[:-1]) | (key_run[1:] != key_run[:-1])
+    pos = np.arange(n)
+    first = np.maximum.accumulate(np.where(new[:n], pos, 0))  # sorted position of its group's first
+    j, last = np.empty(n, dtype=np.int64), np.empty(n, dtype=bool)
+    j[order] = j_sorted = pos - first
+    last[order] = new[1:]
+    # each visit t pairs with the j_t earlier visits of its group; then the pairs go run by run
+    t_sorted = np.repeat(pos, j_sorted)
+    before = np.cumsum(j_sorted) - j_sorted  # pairs listed before t's own
+    m_sorted = np.arange(len(t_sorted)) + np.repeat(first - before, j_sorted)
+    t, m = order[t_sorted], order[m_sorted]
+    by_run = np.argsort(run[t], kind="stable")
+    t, m = t[by_run], m[by_run]
+    start = bounds[run[t]]
+    pair_bounds = np.searchsorted(run[t], np.arange(len(lengths) + 1))
+    return j, last, t - start, m - start, pair_bounds
 
 
 def sgd_epochs(model: FactorModel, train: RatingTriples, config: TrainConfig, loss, head=None):
@@ -354,17 +385,25 @@ def sgd_epochs(model: FactorModel, train: RatingTriples, config: TrainConfig, lo
     per-interaction order with that dot.
 
     The fused step, which shares W across all interactions, runs one
-    ``conflict_free_runs`` run at a time.  Within a run of n visits every P_u
-    and Q_i keeps its run-start value, and with c = 1 - lr * reg the visit t
-    sees W_t = c^t W0 - lr * sem_w * sum_{m<t} c^(t-1-m) e_m outer(P_m, E_m).
+    ``distinct_user_runs`` run at a time: no user repeats within a run, but an
+    item may.  Within a run of n visits every P_u keeps its run-start value, and
+    with c = 1 - lr * reg the visit t sees W_t = c^t W0 - lr * sem_w *
+    sum_{m<t} c^(t-1-m) e_m outer(P_m, E_m).  If j_t earlier visits of the run
+    touched item i_t (``repeated_items``), it sees
+    Q_t = c^j_t Q0 - lr * cf_w * sum_m c^(j_t-j_m-1) e_m P_m over those visits m.
     So the run's errors solve the unit lower-triangular system (I + K) e = r with
 
-        r_t  = cf_w * P_t.Q_t + sem_w * c^t * P_t.(W0 E_t) - y_t
-        K_tm = lr * sem_w^2 * c^(t-1-m) * (E_m.E_t) * (P_m.P_t)    (m < t)
+        r_t  = cf_w * c^j_t * P_t.Q0_t + sem_w * c^t * P_t.(W0 E_t) - y_t
+        K_tm = (P_m.P_t) * (lr * sem_w^2 * c^(t-1-m) * (E_m.E_t)
+                            + lr * cf_w^2 * c^(j_t-j_m-1) * [i_m = i_t])    (m < t)
 
-    and one solve plus a few matrix products apply every visit of the run.
-    That is the per-interaction sequence in exact arithmetic; only rounding
-    differs (about 1e-13 relative).  Raises TrainingDiverged on a non-finite loss.
+    and one solve plus a few matrix products apply the whole run: P_t moves as
+    above with Q_t and W_t, and an item visited J times in the run is written
+    once, with its value after its last visit there,
+    c^J Q0 - lr * cf_w * sum_m c^(J-1-j_m) e_m P_m over those visits m.  K's item
+    term is built only in runs that repeat an item.  That is the
+    per-interaction sequence in exact arithmetic; only rounding differs (about
+    1e-13 relative).  Raises TrainingDiverged on a non-finite loss.
     """
     P, Q = model.user_factors, model.item_factors
     tu, ti, tr = train.users, train.items, train.ratings
@@ -382,9 +421,12 @@ def sgd_epochs(model: FactorModel, train: RatingTriples, config: TrainConfig, lo
         if sem_w != 0.0:
             powers = c ** np.arange(RUN_CAP + 1)  # c^t
             lags = np.subtract.outer(np.arange(RUN_CAP), np.arange(RUN_CAP)) - 1
-            # [t, m]: lr * sem_w^2 * c^(t-1-m) for m < t, else 0
+            # [t, m]: lr * sem_w^2 * c^(t-1-m) for m < t, else 0; contiguous n x n blocks
             decay = np.where(lags >= 0, (lr * sem_w * sem_w) * c ** np.maximum(lags, 0), 0.0)
-            sem_powers, w_steps = sem_w * powers, (lr * sem_w) * powers
+            decays = [decay[:n, :n].copy() for n in range(RUN_CAP + 1)]
+            sem_powers, w_steps = sem_w * powers[:, None], (lr * sem_w) * powers[:, None]
+            item_coupling = lr * cf_w * cf_w
+            vecdot = np.vecdot
         for epoch in range(config.epochs):
             order = epoch_shuffle(config.seed, epoch, len(tu))
             if sem_w == 0.0:
@@ -412,28 +454,62 @@ def sgd_epochs(model: FactorModel, train: RatingTriples, config: TrainConfig, lo
                     W *= c ** len(tu)
             else:
                 us, its, ys = tu[order], ti[order], tr[order]
-                bounds = conflict_free_runs(us, its, len(P), len(Q)).tolist()
-                for lo, hi in zip(bounds, bounds[1:]):
+                bounds = distinct_user_runs(us, len(P))
+                j, last, pair_t, pair_m, pair_bounds = repeated_items(its, bounds)
+                # per same-item pair: its flat index in the run's n x n block, and c^(j_t-j_m-1)
+                starts = np.repeat(bounds[:-1], np.diff(pair_bounds))
+                pair_flat = pair_t * np.repeat(np.diff(bounds), np.diff(pair_bounds)) + pair_m
+                pair_decay = powers[j[pair_t + starts] - j[pair_m + starts] - 1]
+                q_powers = powers[j, None]  # c^j_t
+                del j, pair_t, pair_m, starts
+                WT = np.ascontiguousarray(W.T)  # (d, k), contiguous for the epoch
+                bounds, pair_bounds = bounds.tolist(), pair_bounds.tolist()
+                for lo, hi, plo, phi in zip(bounds, bounds[1:], pair_bounds, pair_bounds[1:]):
                     n = hi - lo
                     u, i = us[lo:hi], its[lo:hi]
-                    pu, qi, ei = P[u], Q[i], E[i]
-                    cq = cf_w * qi
-                    sw = sem_powers[:n, None] * (ei @ W.T)  # row t: sem_w * c^t * W0 @ E_t
-                    coupling = decay[:n, :n] * (ei @ ei.T)  # K without its P_m.P_t factor
-                    system = coupling * (pu @ pu.T)
+                    pu, qi, ei = P.take(u, 0), Q.take(i, 0), E.take(i, 0)
+                    coupling = ei.dot(ei.T)
+                    coupling *= decays[n]  # K's semantic term without its P_m.P_t factor
+                    seen = ei.dot(WT)
+                    seen *= sem_powers[:n]  # row t: sem_w * c^t * W0 @ E_t
+                    if plo != phi:  # an item repeats
+                        same = np.zeros(n * n)
+                        same[pair_flat[plo:phi]] = pair_decay[plo:phi]
+                        same = same.reshape(n, n)  # [t, m]: c^(j_t-j_m-1) for i_m = i_t, m < t
+                        coupling += item_coupling * same
+                        qi *= q_powers[lo:hi]  # row t: c^j_t Q0
+                    seen += cf_w * qi
+                    system = pu.dot(pu.T)
+                    system *= coupling
                     system.flat[:: n + 1] = 1.0
-                    r = np.vecdot(pu, cq + sw) - ys[lo:hi]
+                    r = vecdot(pu, seen)
+                    r -= ys[lo:hi]
                     try:
                         err = np.linalg.solve(system, r)
                     except np.linalg.LinAlgError:  # only once values have overflowed
                         err = np.full(n, np.nan)
-                    sv = sw - (coupling * err) @ pu  # row t: sem_w * W_t @ E_t
-                    step = (lr * err)[:, None]
-                    P[u] = c * pu - step * (cq + sv)
-                    Q[i] = c * qi - (cf_w * step) * pu
+                    coupling *= err
+                    seen -= coupling.dot(pu)  # row t: cf_w * Q_t + sem_w * W_t @ E_t
+                    col = err[:, None]
                     # W_n = c^n W0 - lr * sem_w * sum_m c^(n-1-m) e_m outer(P_m, E_m)
-                    W *= powers[n]
-                    W -= ((w_steps[n - 1 :: -1] * err)[:, None] * pu).T @ ei
+                    WT *= powers[n]
+                    WT -= ei.T.dot(w_steps[n - 1 :: -1] * col * pu)
+                    # row t: Q_t after visit t, c^(j_t+1) Q0 - lr * cf_w * sum_m c^(j_t-j_m) e_m P_m
+                    # over the visits m <= t of its item
+                    q_new = c * qi
+                    q_new -= (lr * cf_w) * col * pu
+                    if plo == phi:
+                        Q[i] = q_new
+                    else:
+                        same *= (c * lr * cf_w) * err
+                        q_new -= same.dot(pu)
+                        rows = last[lo:hi]
+                        Q[i[rows]] = q_new[rows]
+                    seen *= lr * col
+                    pu *= c
+                    pu -= seen
+                    P[u] = pu
+                W[...] = WT.T
             value = loss()
             if not math.isfinite(value):
                 raise TrainingDiverged(

@@ -6,6 +6,7 @@ import pytest
 from rexfuse.dataset import (
     IdIndex,
     Interaction,
+    Interactions,
     RatingTriples,
     build_dataset,
     load_interactions,
@@ -168,6 +169,33 @@ def test_build_dataset_rejects_bad_split_seed(seed):
     inters = [Interaction("u", x, 1.0) for x in "ijk"]
     with pytest.raises(ValueError, match=f"^split_seed must be a non-negative integer, got {seed!r}$"):
         build_dataset(inters, split_seed=seed)
+
+
+@pytest.mark.parametrize("row", [0, 12, 59])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_build_dataset_refuses_a_non_finite_rating_naming_its_row(row, bad):
+    # split seed 4 puts row 0 of these 60 in training, where a NaN read as divergence, and
+    # row 12 in the test split, where it made rmse nan
+    inters = random_interactions(np.random.default_rng(4), 60)
+    inters[row] = Interaction(inters[row].user, inters[row].item, bad)
+    for source in (inters, Interactions.of(inters)):
+        with pytest.raises(ValueError) as info:
+            build_dataset(source, split_seed=4)
+        assert str(info.value) == f"row {row}: non-finite rating {bad}"
+
+
+@pytest.mark.parametrize("kind", ["user", "item"])
+@pytest.mark.parametrize("bad", [7, np.int64(7), 7.0, None, b"u1", ""])
+def test_build_dataset_refuses_an_id_that_is_not_a_non_empty_string(kind, bad):
+    inters = random_interactions(np.random.default_rng(5), 30)
+    x = inters[12]
+    inters[12] = Interaction(bad, x.item, x.rating) if kind == "user" else Interaction(
+        x.user, bad, x.rating
+    )
+    for source in (inters, Interactions.of(inters)):
+        with pytest.raises(ValueError) as info:
+            build_dataset(source, split_seed=0)
+        assert str(info.value) == f"row 12: {kind} id {bad!r} is not a non-empty string"
 
 
 def test_build_dataset_partitions_the_input():

@@ -406,6 +406,32 @@ def test_train_hybrid_matches_sequential_reference_with_textless_items(fusion, a
     assert_train_hybrid_matches_sequential_reference(ds, table, cfg, alpha, fusion)
 
 
+@pytest.mark.parametrize("fusion, alpha, lr, reg", [
+    ("additive", 0.5, 0.05, 0.1),
+    ("convex", 0.3, 0.05, 0.1),
+    ("convex", 1.0, 0.05, 0.1),
+    # c = 1 - lr * reg = 0 and c < 0: the powers c^j of repeated items
+    ("additive", 0.5, 0.25, 4.0),
+    ("convex", 0.3, 0.25, 4.0),
+    ("additive", 0.5, 0.1, 15.0),
+    ("convex", 0.3, 0.1, 15.0),
+])
+def test_train_hybrid_matches_sequential_reference_when_items_repeat_within_runs(
+    fusion, alpha, lr, reg
+):
+    # 40 users x 2 items: each run holds each item many times (at convex 1.0, cf_w = 0)
+    rng = np.random.default_rng(16)
+    ds = dense_dataset(rows_with_repeats(rng, 400, 40, 2), 40, 2)
+    table = embedding_table(5, unit_vectors(rng, range(2), 5))
+    cfg = TrainConfig(n_factors=4, learning_rate=lr, reg=reg, epochs=5,
+                      init_scale=0.5, seed=6)
+    t = ds.train
+    order = mf.epoch_shuffle(cfg.seed, 0, len(t))
+    j, *_ = mf.repeated_items(t.items[order], mf.distinct_user_runs(t.users[order], 40))
+    assert j.max() >= 8  # some item's ninth visit within one run
+    assert_train_hybrid_matches_sequential_reference(ds, table, cfg, alpha, fusion)
+
+
 def test_train_hybrid_matches_sequential_reference_when_runs_hit_the_cap():
     # every user and item once per epoch: each epoch is one conflict-free
     # stretch of 300 visits, cut into runs of 64, 64, 64, 64 and 44

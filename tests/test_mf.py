@@ -11,12 +11,13 @@ from rexfuse.mf import (
     TrainConfig,
     TrainingDiverged,
     conflict_free_levels,
-    conflict_free_runs,
+    distinct_user_runs,
     init_factors,
     loss_gradients,
     loss_mse,
     loss_regularized,
     predict_mf,
+    repeated_items,
     score_pairs,
     train_mf,
 )
@@ -398,23 +399,41 @@ def test_conflict_free_levels_properties(pairs):
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 7)), max_size=80),
-    st.integers(1, 12),
-)
-def test_conflict_free_runs_properties(pairs, cap):
-    users = np.array([u for u, _ in pairs], dtype=np.int64)
-    items = np.array([i for _, i in pairs], dtype=np.int64)
-    bounds = conflict_free_runs(users, items, 6, 8, cap=cap).tolist()
-    assert bounds[0] == 0 and bounds[-1] == len(pairs)  # the runs partition the visits, in order
+@given(st.lists(st.integers(0, 5), max_size=80), st.integers(1, 12))
+def test_distinct_user_runs_properties(users, cap):
+    bounds = distinct_user_runs(np.array(users, dtype=np.int64), 6, cap=cap).tolist()
+    assert bounds[0] == 0 and bounds[-1] == len(users)  # the runs partition the visits, in order
     for lo, hi in zip(bounds, bounds[1:]):
-        run = pairs[lo:hi]
+        run = users[lo:hi]
         assert 1 <= len(run) <= cap
-        run_users, run_items = {u for u, _ in run}, {i for _, i in run}
-        assert len(run_users) == len(run) and len(run_items) == len(run)
-        if hi < len(pairs):  # maximal: the next visit repeats a row, or the run is full
-            u, i = pairs[hi]
-            assert len(run) == cap or u in run_users or i in run_items
+        assert len(set(run)) == len(run)
+        if hi < len(users):  # maximal: the next visit repeats a user, or the run is full
+            assert len(run) == cap or users[hi] in run
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)), max_size=80),
+    st.integers(1, 12),
+    st.sampled_from([0, 70_000]),  # item indices past 2^16 sort without uint16 keys
+)
+def test_repeated_items_matches_brute_force(pairs, cap, offset):
+    users = np.array([u for u, _ in pairs], dtype=np.int64)
+    items = np.array([i + offset for _, i in pairs], dtype=np.int64)
+    bounds = distinct_user_runs(users, 6, cap=cap)
+    j, last, pair_t, pair_m, pair_bounds = repeated_items(items, bounds)
+    bounds, pair_bounds = bounds.tolist(), pair_bounds.tolist()
+    assert len(pair_bounds) == len(bounds)
+    assert pair_bounds[0] == 0 and pair_bounds[-1] == len(pair_t) == len(pair_m)
+    for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        run = items[lo:hi].tolist()
+        for t, i in enumerate(run):
+            assert j[lo + t] == run[:t].count(i)  # earlier visits of its item in the run
+            assert last[lo + t] == (i not in run[t + 1 :])
+        got = list(zip(pair_t[pair_bounds[r] : pair_bounds[r + 1]].tolist(),
+                       pair_m[pair_bounds[r] : pair_bounds[r + 1]].tolist()))
+        expected = [(t, m) for t in range(len(run)) for m in range(t) if run[m] == run[t]]
+        assert sorted(got) == expected
 
 
 def test_heavy_regularization_shrinks_norms():
