@@ -309,6 +309,15 @@ def conflict_free_levels(users, items, n_users: int, n_items: int) -> np.ndarray
 RUN_CAP = 64  # longest run of visits solved as one system in the fused step
 
 
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of non-negative integer keys.
+
+    A stable sort of uint16 keys is a radix sort: the same order, several times faster.
+    """
+    return np.argsort(keys.astype(np.uint16) if keys.max(initial=0) < 1 << 16 else keys,
+                      kind="stable")
+
+
 def distinct_user_runs(users, n_users: int, cap: int = RUN_CAP) -> np.ndarray:
     """Boundaries ``[0, ..., n]`` of the runs of the fused SGD step, in visit order.
 
@@ -344,8 +353,7 @@ def repeated_items(items, bounds) -> tuple:
     lengths = np.diff(bounds)
     run = np.repeat(np.arange(len(lengths)), lengths)
     # visits by item, in visit order within an item, so one run's visits of an item are adjacent
-    keys = items.astype(np.uint16) if items.max(initial=0) < 1 << 16 else items  # a radix sort
-    order = np.argsort(keys, kind="stable")
+    order = _stable_order(items)
     key_item, key_run = items[order], run[order]
     new = np.ones(n + 1, dtype=bool)
     new[1:n] = (key_item[1:] != key_item[:-1]) | (key_run[1:] != key_run[:-1])
@@ -426,17 +434,14 @@ def sgd_epochs(model: FactorModel, train: RatingTriples, config: TrainConfig, lo
             decays = [decay[:n, :n].copy() for n in range(RUN_CAP + 1)]
             sem_powers, w_steps = sem_w * powers[:, None], (lr * sem_w) * powers[:, None]
             item_coupling = lr * cf_w * cf_w
-            vecdot = np.vecdot
         for epoch in range(config.epochs):
             order = epoch_shuffle(config.seed, epoch, len(tu))
             if sem_w == 0.0:
                 levels = conflict_free_levels(tu[order], ti[order], len(P), len(Q))
-                # a stable sort of uint16 keys is a radix sort: the same order, several times faster
-                keys = levels.astype(np.uint16) if levels.max(initial=0) < 1 << 16 else levels
-                order = order[np.argsort(keys, kind="stable")]
+                order = order[_stable_order(levels)]
                 bounds = np.cumsum(np.bincount(levels)).tolist()
                 us, its, ys = tu[order], ti[order], tr[order]  # in level order
-                del levels, keys, order
+                del levels, order
                 for lo, hi in zip(bounds, bounds[1:]):
                     u, i = us[lo:hi], its[lo:hi]
                     pu, qi = P[u], Q[i]
@@ -482,7 +487,7 @@ def sgd_epochs(model: FactorModel, train: RatingTriples, config: TrainConfig, lo
                     system = pu.dot(pu.T)
                     system *= coupling
                     system.flat[:: n + 1] = 1.0
-                    r = vecdot(pu, seen)
+                    r = np.vecdot(pu, seen)
                     r -= ys[lo:hi]
                     try:
                         err = np.linalg.solve(system, r)
